@@ -160,18 +160,19 @@ def calibration_likelihood(
 
     log L = -lambda - W_det + sum_z log(lambda c(z) + sum_k w_k q_k(z)),
     with W_det the detected total weight and q_k the Gaussian predictive
-    likelihood of z under component k.
+    likelihood of z under component k. The per-observation terms are the
+    PHD update's denominators.
     """
-    log_l = -clutter.rate - detected.total_weight
-    for z in Z:
-        log_terms = [clutter.log_intensity(z.z)]
-        for comp in detected.components:
-            if comp.weight <= 0:
-                continue
-            _, loglik = so.kalman_update(comp.state, z)
-            log_terms.append(np.log(comp.weight) + loglik)
-        log_l += float(np.logaddexp.reduce(log_terms))
-    return float(log_l)
+    _, log_denoms = phd_mod.phd_update_with_denominators(
+        phd_mod.empty_mixture(detected.frame), detected, Z, clutter
+    )
+    return _log_likelihood(detected, clutter, log_denoms)
+
+
+def _log_likelihood(
+    detected: phd_mod.GaussianMixture, clutter: phd_mod.ClutterModel, log_denoms: np.ndarray
+) -> float:
+    return float(-clutter.rate - detected.total_weight + log_denoms.sum())
 
 
 def _conditional_phd_step(
@@ -221,7 +222,7 @@ def _conditional_phd_step(
     )
     Z = list(obs_set.observations)
     mixture, log_denoms = phd_mod.phd_update_with_denominators(missed, detected, Z, clutter)
-    log_lc = float(-clutter.rate - detected.total_weight + log_denoms.sum())
+    log_lc = _log_likelihood(detected, clutter, log_denoms)
     birth = phd_mod.birth_from_observations(
         Z, params.disparity_prior, params.velocity_prior, params.birth_weight, target
     )
@@ -254,7 +255,8 @@ def joint_update(
     reweight = params.reweight_sides == "both" or obs_set.camera == geo.RIGHT
     if not reweight:
         return stepped
-    logw = np.log([p.weight for p in stepped]) + log_lcs
+    with np.errstate(divide="ignore"):  # a weight that underflowed to 0 stays at -inf
+        logw = np.log([p.weight for p in stepped]) + log_lcs
     m = logw.max()
     if not np.isfinite(m):
         raise NormalisationFailureError("all sensor-particle weights underflowed")

@@ -54,14 +54,6 @@ class PointAtInfinityError(GeometryError):
     """Disparity point maps to infinity (d -> 0 for a far object)."""
 
 
-def other_side(side: str) -> str:
-    if side == LEFT:
-        return RIGHT
-    if side == RIGHT:
-        return LEFT
-    raise ValueError(f"unknown camera side {side!r}")
-
-
 @dataclass(frozen=True)
 class CameraIntrinsics:
     """Pinhole intrinsics. Focal length in mm (sign is a convention choice),
@@ -354,14 +346,6 @@ def from_disparity_homogeneous(
     w = x_bar[..., 3]
     safe = np.where(np.abs(w) > W_TOL, w, 1.0)
     return x_bar[..., :3] / safe[..., None], w
-
-
-def to_disparity_masked(
-    frame: DisparityFrame, x: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched world-to-disparity map with a validity mask instead of raising."""
-    y, w = to_disparity_homogeneous(frame, x)
-    return y, np.abs(w) > W_TOL
 
 
 def from_disparity_masked(

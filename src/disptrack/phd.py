@@ -18,13 +18,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+import scipy.spatial
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from . import geometry as geo
 from . import single_object as so
 from .rng import SALT_PARTICLE, SALT_SPLIT, as_rng, derive_rng
 
 _SIDE_INDEX = {geo.LEFT: 0, geo.RIGHT: 1}
+
+# Relative widening of the merge prefilter's ball radius (see prune_merge).
+_BALL_MARGIN = 1.0 + 1e-9
 
 
 @dataclass(frozen=True)
@@ -237,6 +241,17 @@ def birth_from_observations(
     return GaussianMixture(comps, frame)
 
 
+def _posterior_factor(
+    state: so.GaussianState, R: np.ndarray
+) -> tuple[so.InnovationFactor, so.GaussianState]:
+    """The observation-independent half of updating ``state`` with an
+    observation of covariance R from the frame's owning camera, plus a
+    validated posterior state whose covariance every posterior copy shares."""
+    H = geo.disparity_observation_matrix(geo.LEFT, state.dynamic)
+    factor = so.innovation_factor(state.mean, state.cov, H, R)
+    return factor, so.GaussianState(mean=state.mean, cov=factor.post_cov, frame=state.frame)
+
+
 def phd_update_with_denominators(
     missed: GaussianMixture,
     detected: GaussianMixture,
@@ -249,20 +264,33 @@ def phd_update_with_denominators(
     The denominators are the per-observation factors of the multi-object
     likelihood, which the calibration layer reuses to weight sensor-state
     particles.
+
+    Each detected component is factored once per distinct observation
+    covariance R (gain, posterior covariance, Cholesky factor of S); each
+    observation then costs one solve per component. The posterior copies
+    of a component share its read-only posterior covariance.
     """
     if missed.frame is not detected.frame:
         raise ValueError("missed and detected mixtures must share a frame")
     out = list(missed.components)
     log_denoms = np.empty(len(Z))
+    log_weights = [np.log(c.weight) if c.weight > 0 else -np.inf for c in detected.components]
+    factors: dict[bytes, list] = {}
     for j, z in enumerate(Z):
         if z.camera != missed.frame.owner:
             raise ValueError("observations must come from the camera owning the frame")
+        key = z.R.tobytes()
+        if key not in factors:
+            factors[key] = [_posterior_factor(c.state, z.R) for c in detected.components]
+        zj = np.asarray(z.z)
         updated = []
         log_terms = [clutter.log_intensity(z.z)]
-        for comp in detected.components:
-            post, loglik = so.kalman_update(comp.state, z)
-            lw = np.log(comp.weight) + loglik if comp.weight > 0 else -np.inf
-            updated.append((lw, post))
+        for comp, lw_prior, (factor, posterior) in zip(
+            detected.components, log_weights, factors[key]
+        ):
+            mean, loglik = so.factored_update(factor, comp.state.mean, zj)
+            lw = lw_prior + loglik
+            updated.append((lw, posterior.with_mean(mean)))
             log_terms.append(lw)
         log_denom = np.logaddexp.reduce(log_terms)
         log_denoms[j] = log_denom
@@ -303,43 +331,56 @@ def prune_merge(
     diffuse stray component from either swallowing tight well-localised ones
     or attaching to them and inflating their fit. Merging alone preserves
     total weight; pruning and the cap reduce it.
+
+    Only the means inside a ball around the group head j are tested. Since
+    d^T P_j^-1 d >= |d|^2 / lambda_max(P_j), a candidate farther than
+    sqrt(merge_distance * lambda_max(P_j)) fails the head's own test, so
+    leaving it out changes nothing. The ball is widened by a relative 1e-9
+    against the rounding of lambda_max and of the distances, queried on a
+    k-d tree of the means, and its hits are tested in the same weight order
+    as a scan of all components: the groups, their order and the merged
+    moments are exactly those of the all-pairs scan.
     """
     if prune_threshold <= 0 or merge_distance <= 0:
         raise ValueError("thresholds must be positive")
     comps = [c for c in mix.components if c.weight >= prune_threshold]
+    if not comps:
+        return GaussianMixture((), mix.frame)
     chols = []
     for c in comps:
-        try:
-            chols.append(scipy.linalg.cho_factor(c.state.cov, lower=True))
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
-            # numerically singular spread (e.g. a clutter ghost stretched to
-            # enormous depth): the component never accepts a merge
-            chols.append(None)
+        chol, info = dpotrf(c.state.cov, lower=1)
+        # info > 0: numerically singular spread (e.g. a clutter ghost
+        # stretched to enormous depth); the component never accepts a merge
+        chols.append(chol if info == 0 else None)
+    means = np.array([c.state.mean for c in comps])
+    lambda_max = np.linalg.eigvalsh(np.array([c.state.cov for c in comps]))[:, -1]
+    radii = np.sqrt(merge_distance * lambda_max * _BALL_MARGIN)
+    tree = scipy.spatial.cKDTree(means)
+    order = sorted(range(len(comps)), key=lambda i: -comps[i].weight)
+    rank = [0] * len(comps)
+    for r, i in enumerate(order):
+        rank[i] = r
+    assigned = [False] * len(comps)
     merged: list[WeightedGaussian] = []
-    remaining = sorted(range(len(comps)), key=lambda i: -comps[i].weight)
-    while remaining:
-        j = remaining[0]
-        group = []
-        rest = []
-        for i in remaining:
-            if i == j:
-                group.append(i)
-                continue
-            if chols[i] is None or chols[j] is None:
-                rest.append(i)
-                continue
-            diff = comps[i].state.mean - comps[j].state.mean
-            if (
-                diff @ scipy.linalg.cho_solve(chols[i], diff) <= merge_distance
-                and diff @ scipy.linalg.cho_solve(chols[j], diff) <= merge_distance
-            ):
-                group.append(i)
-            else:
-                rest.append(i)
+    for j in order:
+        if assigned[j]:
+            continue
+        group = [j]
+        if chols[j] is not None:
+            for i in sorted(tree.query_ball_point(means[j], radii[j]), key=rank.__getitem__):
+                if assigned[i] or i == j or chols[i] is None:
+                    continue
+                diff = comps[i].state.mean - comps[j].state.mean
+                if (
+                    diff @ dpotrs(chols[i], diff, lower=1)[0] <= merge_distance
+                    and diff @ dpotrs(chols[j], diff, lower=1)[0] <= merge_distance
+                ):
+                    group.append(i)
+        for i in group:
+            assigned[i] = True
         w = np.array([comps[i].weight for i in group])
-        means = np.array([comps[i].state.mean for i in group])
         w_total = w.sum()
-        mean = (w @ means) / w_total
+        mean = (w @ means[group]) / w_total
         cov = np.zeros_like(comps[j].state.cov)
         for i, wi in zip(group, w):
             d = comps[i].state.mean - mean
@@ -351,7 +392,6 @@ def prune_merge(
                 so.GaussianState(mean=mean, cov=so.ensure_spd(cov), frame=mix.frame),
             )
         )
-        remaining = rest
     merged.sort(key=lambda c: -c.weight)
     return GaussianMixture(tuple(merged[:max_components]), mix.frame)
 

@@ -9,7 +9,6 @@ a seed. Observations never carry object identity.
 from __future__ import annotations
 
 import concurrent.futures
-import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, field
@@ -157,12 +156,6 @@ class ScenarioConfig:
             return cls(**d)
         except TypeError as exc:
             raise ValueError(f"malformed scenario config: {exc}") from None
-
-    def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
 
 def _deep_tuple(v):

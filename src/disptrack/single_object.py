@@ -28,6 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrs
 
 from . import geometry as geo
 from .rng import SALT_PARTICLE, as_rng, derive_rng
@@ -79,7 +80,8 @@ class GaussianState:
     """Gaussian belief in a tagged disparity space.
 
     mean is (u, v, d) or (u, v, d, du, dv, dd); cov is the matching SPD
-    matrix. States are values: every operation returns a new instance.
+    matrix, stored read-only so states can share it. States are values:
+    every operation returns a new instance.
     """
 
     mean: np.ndarray
@@ -107,12 +109,26 @@ class GaussianState:
                 np.linalg.cholesky(cov)
             except np.linalg.LinAlgError:
                 raise ValueError("covariance is not positive semidefinite") from None
+        cov.flags.writeable = False
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
     @property
     def dynamic(self) -> bool:
         return self.mean.size == 6
+
+    def with_mean(self, mean: np.ndarray) -> GaussianState:
+        """A state sharing this one's covariance and frame around another
+        mean. The covariance is already validated, so only the mean is
+        checked."""
+        mean = np.asarray(mean, dtype=float)
+        if mean.shape != self.mean.shape or not np.isfinite(mean).all():
+            raise ValueError("state mean must be finite and match the covariance")
+        state = object.__new__(GaussianState)
+        object.__setattr__(state, "mean", mean)
+        object.__setattr__(state, "cov", self.cov)
+        object.__setattr__(state, "frame", self.frame)
+        return state
 
 
 @dataclass(frozen=True)
@@ -125,12 +141,15 @@ class Observation:
     time: int = 0
 
     def __post_init__(self):
+        z = tuple(float(v) for v in self.z)
         R = symmetrise(np.asarray(self.R, dtype=float))
+        if not (np.all(np.isfinite(z)) and np.all(np.isfinite(R))):
+            raise ValueError("observation and its covariance must be finite")
         np.linalg.cholesky(R)
         if self.time < 0:
             raise ValueError("time index must be nonnegative")
         object.__setattr__(self, "R", R)
-        object.__setattr__(self, "z", tuple(float(v) for v in self.z))
+        object.__setattr__(self, "z", z)
 
 
 @dataclass(frozen=True)
@@ -177,6 +196,49 @@ def initialise(
     return GaussianState(mean=np.array(mean, dtype=float), cov=cov, frame=frame)
 
 
+@dataclass(frozen=True, eq=False)
+class InnovationFactor:
+    """The observation-independent half of a Kalman update of one Gaussian
+    under one observation model (H, R)."""
+
+    predicted: np.ndarray  # H m
+    chol: np.ndarray  # lower Cholesky factor of S = H P H^T + R
+    gain: np.ndarray  # K = P H^T S^-1
+    post_cov: np.ndarray  # Joseph form (I - K H) P (I - K H)^T + K R K^T, made SPD
+    log_det: float  # log det S
+
+
+def innovation_factor(
+    mean: np.ndarray, cov: np.ndarray, H: np.ndarray, R: np.ndarray
+) -> InnovationFactor:
+    """Factor the innovation covariance once; any number of observations
+    sharing (H, R) then update through ``factored_update``."""
+    S = H @ cov @ H.T + R
+    try:
+        chol = np.linalg.cholesky(symmetrise(S))
+    except np.linalg.LinAlgError:
+        raise NumericalDegeneracyError("innovation covariance not invertible") from None
+    K = dpotrs(chol, H @ cov, lower=1)[0].T
+    I_KH = np.eye(mean.size) - K @ H
+    post_cov = ensure_spd(I_KH @ cov @ I_KH.T + K @ R @ K.T)
+    return InnovationFactor(H @ mean, chol, K, post_cov, 2.0 * np.log(np.diag(chol)).sum())
+
+
+def factored_update(
+    factor: InnovationFactor, mean: np.ndarray, z: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """The per-observation half of a Kalman update: the posterior mean and
+    the log of the Gaussian predictive likelihood N(z; H m, S).
+
+    The inputs must be finite (``GaussianState`` and ``Observation`` check
+    that); the LAPACK solve does not check again."""
+    innov = z - factor.predicted
+    alpha = dpotrs(factor.chol, innov, lower=1)[0]
+    post_mean = mean + factor.gain @ innov
+    loglik = -0.5 * (innov @ alpha + factor.log_det + z.size * np.log(2.0 * np.pi))
+    return post_mean, float(loglik)
+
+
 def linear_gaussian_update(
     mean: np.ndarray, cov: np.ndarray, H: np.ndarray, z: np.ndarray, R: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float]:
@@ -185,21 +247,11 @@ def linear_gaussian_update(
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
     z = np.asarray(z, dtype=float)
-    S = H @ cov @ H.T + R
-    try:
-        chol = np.linalg.cholesky(symmetrise(S))
-    except np.linalg.LinAlgError:
-        raise NumericalDegeneracyError("innovation covariance not invertible") from None
-    innov = z - H @ mean
-    alpha = scipy.linalg.cho_solve((chol, True), innov)
-    K = scipy.linalg.cho_solve((chol, True), H @ cov).T
-    post_mean = mean + K @ innov
-    I_KH = np.eye(mean.size) - K @ H
-    post_cov = ensure_spd(I_KH @ cov @ I_KH.T + K @ R @ K.T)
-    loglik = -0.5 * (
-        innov @ alpha + 2.0 * np.log(np.diag(chol)).sum() + z.size * np.log(2.0 * np.pi)
-    )
-    return post_mean, post_cov, float(loglik)
+    if not all(np.all(np.isfinite(a)) for a in (mean, cov, z, R)):
+        raise ValueError("update inputs must be finite")
+    factor = innovation_factor(mean, cov, H, R)
+    post_mean, loglik = factored_update(factor, mean, z)
+    return post_mean, factor.post_cov, loglik
 
 
 def kalman_update(state: GaussianState, obs: Observation) -> tuple[GaussianState, float]:
@@ -220,8 +272,9 @@ def kalman_update(state: GaussianState, obs: Observation) -> tuple[GaussianState
             " a particle move is required first"
         )
     H = geo.disparity_observation_matrix(side, state.dynamic)
-    mean, cov, loglik = linear_gaussian_update(state.mean, state.cov, H, np.asarray(obs.z), obs.R)
-    return GaussianState(mean=mean, cov=cov, frame=frame), loglik
+    factor = innovation_factor(state.mean, state.cov, H, obs.R)
+    mean, loglik = factored_update(factor, state.mean, np.asarray(obs.z))
+    return GaussianState(mean=mean, cov=factor.post_cov, frame=frame), loglik
 
 
 def _sample_gaussian(state: GaussianState, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -227,6 +229,17 @@ class TestJointUpdate:
             last_time = obs_set.time
         weights = {id(p): p.weight for p in particles}
         assert particles[0].weight > 0.99  # the true-geometry hypothesis
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_weight_particle_stays_zero_without_warnings(self):
+        left = left_camera()
+        particles = cal.init_calibration(make_prior(count=3), left, table_intrinsics(), 4)
+        particles = [replace(p, weight=w) for p, w in zip(particles, (0.0, 0.5, 0.5))]
+        obs_set = synthetic_sets(particles[1].rig, TARGETS, 1, seed=5)[0]
+        params = cal.CalibrationParams(disparity_prior=(-7.0, 8.0), seed=3)
+        stepped = cal.joint_update(particles, obs_set, 0, params)
+        assert stepped[0].weight == 0.0
+        assert sum(p.weight for p in stepped) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestResample:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from disptrack import geometry as geo
 from disptrack import single_object as so
@@ -117,6 +118,37 @@ class TestKalmanUpdate:
         assert post.mean[0] == pytest.approx(401.0)
         assert post.mean[1] == pytest.approx(300.0)
         assert post.mean[2] == pytest.approx(7.0)  # d unobserved by the owner camera
+
+    def test_factored_update_matches_one_piece_arithmetic(self):
+        # the update written in one piece with scipy's checked solves
+        rng = np.random.default_rng(5)
+        for n in (3, 6):
+            H = geo.disparity_observation_matrix(geo.LEFT, n == 6)
+            for _ in range(10):
+                A = rng.standard_normal((n, n))
+                cov = A @ A.T + np.eye(n)
+                mean = 100.0 * rng.standard_normal(n)
+                z = rng.uniform(0.0, 800.0, 2)
+                B = rng.standard_normal((2, 2))
+                R = B @ B.T + np.eye(2)
+                chol = np.linalg.cholesky(so.symmetrise(H @ cov @ H.T + R))
+                innov = z - H @ mean
+                alpha = scipy.linalg.cho_solve((chol, True), innov)
+                K = scipy.linalg.cho_solve((chol, True), H @ cov).T
+                I_KH = np.eye(n) - K @ H
+                want_cov = so.ensure_spd(I_KH @ cov @ I_KH.T + K @ R @ K.T)
+                want_ll = -0.5 * (
+                    innov @ alpha + 2.0 * np.log(np.diag(chol)).sum() + 2 * np.log(2.0 * np.pi)
+                )
+                post_mean, post_cov, loglik = so.linear_gaussian_update(mean, cov, H, z, R)
+                assert np.array_equal(post_mean, mean + K @ innov)
+                assert np.array_equal(post_cov, want_cov)
+                assert loglik == float(want_ll)
+
+    def test_non_finite_input_rejected(self):
+        H = geo.disparity_observation_matrix(geo.LEFT)
+        with pytest.raises(ValueError):
+            so.linear_gaussian_update(np.array([np.nan, 0.0, 0.0]), np.eye(3), H, np.zeros(2), np.eye(2))
 
     def test_matches_dense_bayes_oracle(self):
         # importance-sampling Bayes oracle on random linear-Gaussian problems
