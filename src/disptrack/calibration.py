@@ -3,15 +3,15 @@
 The sensor state (right-camera position and yaw/pitch/roll relative to the
 left camera, which anchors the world frame) is represented by a weighted
 particle population. Each particle carries its own conditional Gaussian
-mixture, propagated by a full GM-PHD step under that particle's geometry.
-After every observation set the particles are reweighted by the closed-form
-multi-object likelihood
+mixture, advanced by ``phd.phd_step`` under that particle's geometry, the
+same step the plain PHD filter runs. After every observation set the
+particles are reweighted by the closed-form multi-object likelihood that
+step returns,
 
     L(Z|s) = exp(-lambda - W_det) * prod_z [lambda c(z) + sum_k w_k q_k(z)],
 
-evaluated in log space from the same per-observation denominators the PHD
-update computes, then normalised (the normalisation constant cancels).
-Systematic resampling keeps the population from degenerating.
+then normalised (the normalisation constant cancels). Systematic resampling
+keeps the population from degenerating.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from . import geometry as geo
 from . import phd as phd_mod
 from . import single_object as so
-from .rng import SALT_CALIBRATION, SALT_PARTICLE, SALT_SPLIT, derive_rng
+from .rng import SALT_CALIBRATION, derive_rng
 
 
 class NormalisationFailureError(Exception):
@@ -94,22 +94,22 @@ class SensorParticle:
 
 @dataclass(frozen=True)
 class CalibrationParams:
-    p_survival: float = 0.99
-    p_detect: float = 0.95
-    clutter_rate: float = 10.0
-    disparity_prior: tuple[float, float] = (-7.0, 5.4)
-    velocity_prior: tuple[float, float | tuple[float, float, float]] | None = None
-    birth_weight: float = 0.005
-    prune_threshold: float = 1e-3
-    merge_distance: float = 7.0
-    max_components: int = 50
-    n_move_particles: int = 64
-    n_split_particles: int = 128
-    motion: so.MotionModel = so.MotionModel(kind="static")
+    """The conditional PHD's parameters plus the sensor-particle settings.
+
+    The default conditional PHD is lighter than the tracking default: fewer
+    transport points, a higher prune threshold and a smaller cap, since
+    every particle runs its own.
+    """
+
+    phd: phd_mod.PhdParams = phd_mod.PhdParams(
+        birth_weight=0.005,
+        prune_threshold=1e-3,
+        max_components=50,
+        n_move_particles=64,
+        n_split_particles=128,
+    )
     resample_threshold: float = 0.5
     jitter: float = 0.0  # fraction of the prior sigmas added on resampling
-    reweight_sides: str = "both"  # or "right-only"
-    seed: int = 0
 
 
 def _build_rig(
@@ -150,89 +150,6 @@ def init_calibration(
     return particles
 
 
-def calibration_likelihood(
-    detected: phd_mod.GaussianMixture,
-    Z: list[so.Observation],
-    clutter: phd_mod.ClutterModel,
-) -> float:
-    """Log multi-object likelihood of an observation set given a predicted,
-    detection-split conditional mixture.
-
-    log L = -lambda - W_det + sum_z log(lambda c(z) + sum_k w_k q_k(z)),
-    with W_det the detected total weight and q_k the Gaussian predictive
-    likelihood of z under component k. The per-observation terms are the
-    PHD update's denominators.
-    """
-    _, log_denoms = phd_mod.phd_update_with_denominators(
-        phd_mod.empty_mixture(detected.frame), detected, Z, clutter
-    )
-    return _log_likelihood(detected, clutter, log_denoms)
-
-
-def _log_likelihood(
-    detected: phd_mod.GaussianMixture, clutter: phd_mod.ClutterModel, log_denoms: np.ndarray
-) -> float:
-    return float(-clutter.rate - detected.total_weight + log_denoms.sum())
-
-
-def _conditional_phd_step(
-    particle: SensorParticle,
-    obs_set: phd_mod.ObservationSet,
-    dt_steps: int,
-    params: CalibrationParams,
-) -> tuple[SensorParticle, float]:
-    """One full GM-PHD step of a particle's conditional mixture under its
-    geometry, returning the particle and the log multi-object likelihood."""
-    rig = particle.rig
-    side = 0 if obs_set.camera == geo.LEFT else 1
-    target = rig.frame_for(obs_set.camera)
-    mixture = particle.mixture
-    dynamic = params.velocity_prior is not None
-    model = so._effective_model(params.motion, dt_steps) if dynamic else None
-    survival = params.p_survival if dt_steps > 0 else 1.0
-    if len(mixture) and (target is not mixture.frame or model is not None):
-        mixture = phd_mod.phd_predict(
-            mixture,
-            target,
-            survival,
-            model,
-            None,
-            n_particles=params.n_move_particles,
-            seed_keys=(params.seed, obs_set.time, SALT_PARTICLE, side),
-        )
-    elif len(mixture) and survival != 1.0:
-        mixture = phd_mod.GaussianMixture(
-            tuple(
-                phd_mod.WeightedGaussian(survival * c.weight, c.state)
-                for c in mixture.components
-            ),
-            mixture.frame,
-        )
-    elif target is not mixture.frame:
-        mixture = phd_mod.empty_mixture(target)
-
-    cam = rig.camera(obs_set.camera)
-    det = phd_mod.DetectionModel(params.p_detect, cam.width, cam.height)
-    clutter = phd_mod.ClutterModel(params.clutter_rate, cam.width, cam.height)
-    missed, detected = phd_mod.split_detection(
-        mixture,
-        det,
-        params.n_split_particles,
-        seed_keys=(params.seed, obs_set.time, SALT_SPLIT, side),
-    )
-    Z = list(obs_set.observations)
-    mixture, log_denoms = phd_mod.phd_update_with_denominators(missed, detected, Z, clutter)
-    log_lc = _log_likelihood(detected, clutter, log_denoms)
-    birth = phd_mod.birth_from_observations(
-        Z, params.disparity_prior, params.velocity_prior, params.birth_weight, target
-    )
-    mixture = phd_mod.GaussianMixture(mixture.components + birth.components, target)
-    mixture = phd_mod.prune_merge(
-        mixture, params.prune_threshold, params.merge_distance, params.max_components
-    )
-    return replace(particle, mixture=mixture), log_lc
-
-
 def joint_update(
     particles: list[SensorParticle],
     obs_set: phd_mod.ObservationSet,
@@ -246,23 +163,22 @@ def joint_update(
     so likelihood differences reflect geometry rather than sampling noise and
     a single-particle population reproduces the plain PHD filter bit for bit.
     """
-    stepped = []
+    mixtures = []
     log_lcs = np.empty(len(particles))
-    for k, particle in enumerate(particles):
-        new_particle, log_lc = _conditional_phd_step(particle, obs_set, dt_steps, params)
-        stepped.append(new_particle)
-        log_lcs[k] = log_lc
-    reweight = params.reweight_sides == "both" or obs_set.camera == geo.RIGHT
-    if not reweight:
-        return stepped
+    for k, p in enumerate(particles):
+        mixture, log_lcs[k] = phd_mod.phd_step(p.mixture, obs_set, dt_steps, p.rig, params.phd)
+        mixtures.append(mixture)
     with np.errstate(divide="ignore"):  # a weight that underflowed to 0 stays at -inf
-        logw = np.log([p.weight for p in stepped]) + log_lcs
+        logw = np.log([p.weight for p in particles]) + log_lcs
     m = logw.max()
     if not np.isfinite(m):
         raise NormalisationFailureError("all sensor-particle weights underflowed")
     w = np.exp(logw - m)
     w /= w.sum()
-    return [replace(p, weight=float(wk)) for p, wk in zip(stepped, w)]
+    return [
+        replace(p, mixture=mixture, weight=float(wk))
+        for p, mixture, wk in zip(particles, mixtures, w)
+    ]
 
 
 def effective_sample_size(particles: list[SensorParticle]) -> float:
@@ -350,14 +266,12 @@ def calibrate(
     observation set."""
     if not observation_sets:
         raise ValueError("empty observation stream")
-    particles = init_calibration(prior, left, right_intrinsics, params.seed)
-    resample_rng = derive_rng(params.seed, SALT_CALIBRATION, 1)
+    particles = init_calibration(prior, left, right_intrinsics, params.phd.seed)
+    resample_rng = derive_rng(params.phd.seed, SALT_CALIBRATION, 1)
     records = []
     last_time = None
     for obs_set in observation_sets:
         dt_steps = 0 if last_time is None else obs_set.time - last_time
-        if dt_steps < 0:
-            raise ValueError("observation sets must be time-ordered")
         particles = joint_update(particles, obs_set, dt_steps, params)
         particles = resample(
             particles,
@@ -380,11 +294,5 @@ def calibrate(
         )
         last_time = obs_set.time
     modal = max(particles, key=lambda p: p.weight)
-    targets, _ = phd_mod.extract_targets(modal.mixture)
-    if targets:
-        means = np.array([s.mean[:3] for s, _ in targets])
-        world, ok = geo.from_disparity_masked(modal.mixture.frame, means)
-        final_targets = world[ok]
-    else:
-        final_targets = np.empty((0, 3))
+    final_targets, _ = phd_mod.extract_targets_world(modal.mixture, params.phd.extract_threshold)
     return CalibrationResult(records=records, particles=particles, final_targets=final_targets)

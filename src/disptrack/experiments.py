@@ -2,8 +2,9 @@
 multi-object PHD runs and camera calibration campaigns.
 
 Each driver turns a scenario config plus a run count into aggregated
-metrics, keeping per-run and per-step series around for the CSV and figure
-writers. Monte-Carlo runs are independent and seeded from the base seed.
+metrics and keeps the per-run and per-step series they were computed from.
+Monte-Carlo runs are independent and seeded from the base seed, so a run's
+observations can be regenerated from (config, seed) and are not stored.
 """
 
 from __future__ import annotations
@@ -79,7 +80,6 @@ def _phd_params(cfg: sim.ScenarioConfig, seed: int) -> phd_mod.PhdParams:
 class LocaliseRun:
     estimates: np.ndarray  # (n_steps, 3) disparity-filter estimates
     baseline: np.ndarray | None
-    observations: list[phd_mod.ObservationSet]
 
 
 def _localise_one(run_index: int, run_seed: int, cfg: sim.ScenarioConfig, baseline: str | None):
@@ -102,7 +102,7 @@ def _localise_one(run_index: int, run_seed: int, cfg: sim.ScenarioConfig, baseli
     elif baseline == "idekf":
         ekf = so.baseline_inverse_depth_ekf(cfg.rig(), stream, tuple(cfg.filter.disparity_prior))
         base = per_step_estimates(ekf.estimates, ekf.times, cfg.n_steps)
-    return LocaliseRun(estimates=estimates, baseline=base, observations=sets)
+    return LocaliseRun(estimates=estimates, baseline=base)
 
 
 @dataclass
@@ -203,7 +203,6 @@ class TrackRun:
     ds_estimates: np.ndarray
     pf_estimates: dict[int, np.ndarray]
     truth: np.ndarray
-    observations: list[phd_mod.ObservationSet]
 
 
 def _track_one(run_index: int, run_seed: int, cfg: sim.ScenarioConfig, pf_sizes: tuple[int, ...]):
@@ -228,9 +227,7 @@ def _track_one(run_index: int, run_seed: int, cfg: sim.ScenarioConfig, pf_sizes:
             seed=run_seed,
         )
         pf_all[n] = per_step_estimates(pf.estimates, pf.times, cfg.n_steps)
-    return TrackRun(
-        ds_estimates=ds, pf_estimates=pf_all, truth=truth.positions[:, 0, :], observations=sets
-    )
+    return TrackRun(ds_estimates=ds, pf_estimates=pf_all, truth=truth.positions[:, 0, :])
 
 
 @dataclass
@@ -287,7 +284,6 @@ def run_track(
 class PhdRun:
     records: list[phd_mod.PhdStepRecord]
     truth: np.ndarray  # (n_steps, n_objects, 3)
-    observations: list[phd_mod.ObservationSet]
     ospa: np.ndarray
     cardinality: np.ndarray
 
@@ -309,7 +305,6 @@ def _phd_one(run_index: int, run_seed: int, cfg: sim.ScenarioConfig, ospa_cutoff
     return PhdRun(
         records=per_step,
         truth=truth.positions,
-        observations=sets,
         ospa=ospa,
         cardinality=cardinality,
     )
@@ -362,7 +357,6 @@ class CalibrateRun:
     times: np.ndarray
     truth: np.ndarray  # (6,) true sensor vector
     final_targets: np.ndarray
-    observations: list[phd_mod.ObservationSet]
 
 
 def _calibrate_one(run_index: int, run_seed: int, cfg: sim.ScenarioConfig):
@@ -385,27 +379,16 @@ def _calibrate_one(run_index: int, run_seed: int, cfg: sim.ScenarioConfig):
     )
     truth = sim.generate_truth(cfg)
     sets = sim.generate_observations(truth, cfg, run_seed)
-    f = cfg.filter
-    dynamic = f.velocity_prior is not None
     params = cal.CalibrationParams(
-        p_survival=f.p_survival,
-        p_detect=cfg.p_detect,
-        clutter_rate=cfg.clutter_rate,
-        disparity_prior=tuple(f.disparity_prior),
-        velocity_prior=tuple(f.velocity_prior) if dynamic else None,
-        birth_weight=f.birth_weight,
-        prune_threshold=c.prune_threshold,
-        merge_distance=f.merge_distance,
-        max_components=c.max_components,
-        n_move_particles=c.n_move_particles,
-        n_split_particles=c.n_split_particles,
-        motion=so.MotionModel(
-            kind="constant-velocity" if dynamic else "static", q=f.process_noise, dt=cfg.dt
+        phd=replace(
+            _phd_params(cfg, run_seed),
+            prune_threshold=c.prune_threshold,
+            max_components=c.max_components,
+            n_move_particles=c.n_move_particles,
+            n_split_particles=c.n_split_particles,
         ),
         resample_threshold=c.resample_threshold,
         jitter=c.jitter,
-        reweight_sides=c.reweight_sides,
-        seed=run_seed,
     )
     left = cfg.left.build()
     right_intr = cfg.right.build().intrinsics
@@ -419,7 +402,6 @@ def _calibrate_one(run_index: int, run_seed: int, cfg: sim.ScenarioConfig):
         times=times,
         truth=truth_state.as_vector(),
         final_targets=result.final_targets,
-        observations=sets,
     )
 
 

@@ -419,17 +419,3 @@ class StereoRig:
 
     def frame_for(self, side: str) -> DisparityFrame:
         return self.frames[side]
-
-    def observation_matrix(self, frame: DisparityFrame, side: str, dynamic: bool) -> np.ndarray:
-        """Observation matrix for camera ``side`` acting on a state in ``frame``.
-
-        Raises if the camera cannot observe linearly in that frame (the
-        non-rectified cross-camera case, which requires a particle move).
-        """
-        if side == frame.owner:
-            return disparity_observation_matrix(LEFT, dynamic)
-        if frame.physical_pair:
-            return disparity_observation_matrix(RIGHT, dynamic)
-        raise ValueError(
-            f"camera {side!r} does not observe linearly in frame owned by {frame.owner!r}"
-        )

@@ -261,9 +261,11 @@ def phd_update_with_denominators(
     """PHD measurement update, also returning per-observation log
     denominators log(lambda c(z) + sum_k w_k q_k(z)).
 
+    The missed-detection part passes through unchanged; every observation
+    adds one Kalman-updated copy of each detected component with weight
+    w_k q_k(z) / (lambda c(z) + sum_k' w_k' q_k'(z)), computed in log space.
     The denominators are the per-observation factors of the multi-object
-    likelihood, which the calibration layer reuses to weight sensor-state
-    particles.
+    likelihood (see ``phd_step``).
 
     Each detected component is factored once per distinct observation
     covariance R (gain, posterior covariance, Cholesky factor of S); each
@@ -298,22 +300,6 @@ def phd_update_with_denominators(
             w = 0.0 if not np.isfinite(lw - log_denom) else float(np.exp(lw - log_denom))
             out.append(WeightedGaussian(w, post))
     return GaussianMixture(tuple(out), missed.frame), log_denoms
-
-
-def phd_update(
-    missed: GaussianMixture,
-    detected: GaussianMixture,
-    Z: list[so.Observation],
-    clutter: ClutterModel,
-) -> GaussianMixture:
-    """PHD measurement update.
-
-    The missed-detection part passes through unchanged; every observation
-    adds one Kalman-updated copy of each detected component with weight
-    w_k q_k(z) / (lambda c(z) + sum_k' w_k' q_k'(z)), computed in log space.
-    """
-    mixture, _ = phd_update_with_denominators(missed, detected, Z, clutter)
-    return mixture
 
 
 def prune_merge(
@@ -405,6 +391,20 @@ def extract_targets(
     return targets, int(round(mix.total_weight))
 
 
+def extract_targets_world(
+    mix: GaussianMixture, weight_threshold: float = 0.5
+) -> tuple[np.ndarray, int]:
+    """The extracted target means mapped to world space, (k, 3), plus the
+    cardinality estimate. A mean at d ~ 0 has no 3-D location and is left
+    out."""
+    targets, cardinality = extract_targets(mix, weight_threshold)
+    if not targets:
+        return np.empty((0, 3)), cardinality
+    means = np.array([s.mean[:3] for s, _ in targets])
+    world, ok = geo.from_disparity_masked(mix.frame, means)
+    return world[ok], cardinality
+
+
 @dataclass(frozen=True)
 class ObservationSet:
     """All observations of one camera at one time step (order-free set)."""
@@ -454,71 +454,89 @@ class PhdTrackResult:
         return [by_time[t] for t in sorted(by_time)]
 
 
+def phd_step(
+    mixture: GaussianMixture,
+    obs_set: ObservationSet,
+    dt_steps: int,
+    rig: geo.StereoRig,
+    params: PhdParams,
+) -> tuple[GaussianMixture, float]:
+    """One GM-PHD step for one camera's observation set, ``dt_steps`` time
+    steps after the previous set: predict (moving the mixture into the
+    updating camera's space and composing motion when time advanced), split
+    by detection, update, birth from the observations, prune and merge.
+
+    Returns the new mixture and the log multi-object likelihood of the set
+
+        log L(Z) = -lambda - W_det + sum_z log(lambda c(z) + sum_k w_k q_k(z)),
+
+    with W_det the detected predicted weight; its per-observation terms are
+    the update's denominators. The random streams are derived from
+    (params.seed, obs_set.time, salt, camera), so every caller that steps the
+    same mixture with the same parameters gets the same bits.
+    """
+    if dt_steps < 0:
+        raise ValueError("observation sets must be time-ordered")
+    target = rig.frame_for(obs_set.camera)
+    side = _SIDE_INDEX[obs_set.camera]
+    dynamic = params.velocity_prior is not None
+    model = so._effective_model(params.motion, dt_steps) if dynamic else None
+    survival = params.p_survival if dt_steps > 0 else 1.0
+    if len(mixture) and (target is not mixture.frame or model is not None):
+        mixture = phd_predict(
+            mixture,
+            target,
+            survival,
+            model,
+            None,
+            n_particles=params.n_move_particles,
+            seed_keys=(params.seed, obs_set.time, SALT_PARTICLE, side),
+        )
+    elif len(mixture) and survival != 1.0:
+        mixture = GaussianMixture(
+            tuple(WeightedGaussian(survival * c.weight, c.state) for c in mixture.components),
+            mixture.frame,
+        )
+    elif target is not mixture.frame:
+        mixture = empty_mixture(target)
+
+    cam = rig.camera(obs_set.camera)
+    det = DetectionModel(params.p_detect, cam.width, cam.height)
+    clutter = ClutterModel(params.clutter_rate, cam.width, cam.height)
+    missed, detected = split_detection(
+        mixture,
+        det,
+        params.n_split_particles,
+        seed_keys=(params.seed, obs_set.time, SALT_SPLIT, side),
+    )
+    Z = list(obs_set.observations)
+    mixture, log_denoms = phd_update_with_denominators(missed, detected, Z, clutter)
+    log_lc = float(-clutter.rate - detected.total_weight + log_denoms.sum())
+    birth = birth_from_observations(
+        Z, params.disparity_prior, params.velocity_prior, params.birth_weight, target
+    )
+    mixture = GaussianMixture(mixture.components + birth.components, target)
+    mixture = prune_merge(
+        mixture, params.prune_threshold, params.merge_distance, params.max_components
+    )
+    return mixture, log_lc
+
+
 def phd_track(
     rig: geo.StereoRig, observation_sets: list[ObservationSet], params: PhdParams
 ) -> PhdTrackResult:
     """Full GM-PHD recursion over per-camera observation sets in processing
-    order: predict (moving the mixture into the updating camera's space and
-    composing motion when time advanced), split by detection, update, birth
-    from the current observations, prune and merge, extract.
+    order: one ``phd_step`` per set, then target extraction.
     """
     if not observation_sets:
         raise ValueError("empty observation stream")
-    dynamic = params.velocity_prior is not None
     mixture = empty_mixture(rig.frame_for(observation_sets[0].camera))
     records = []
     last_time = None
     for obs_set in observation_sets:
-        target = rig.frame_for(obs_set.camera)
-        side = _SIDE_INDEX[obs_set.camera]
         dt_steps = 0 if last_time is None else obs_set.time - last_time
-        if dt_steps < 0:
-            raise ValueError("observation sets must be time-ordered")
-        model = so._effective_model(params.motion, dt_steps) if dynamic else None
-        survival = params.p_survival if dt_steps > 0 else 1.0
-        if len(mixture) and (target is not mixture.frame or model is not None):
-            mixture = phd_predict(
-                mixture,
-                target,
-                survival,
-                model,
-                None,
-                n_particles=params.n_move_particles,
-                seed_keys=(params.seed, obs_set.time, SALT_PARTICLE, side),
-            )
-        elif len(mixture) and survival != 1.0:
-            mixture = GaussianMixture(
-                tuple(WeightedGaussian(survival * c.weight, c.state) for c in mixture.components),
-                mixture.frame,
-            )
-        elif target is not mixture.frame:
-            mixture = empty_mixture(target)
-
-        cam = rig.camera(obs_set.camera)
-        det = DetectionModel(params.p_detect, cam.width, cam.height)
-        clutter = ClutterModel(params.clutter_rate, cam.width, cam.height)
-        missed, detected = split_detection(
-            mixture,
-            det,
-            params.n_split_particles,
-            seed_keys=(params.seed, obs_set.time, SALT_SPLIT, side),
-        )
-        Z = list(obs_set.observations)
-        mixture = phd_update(missed, detected, Z, clutter)
-        birth = birth_from_observations(
-            Z, params.disparity_prior, params.velocity_prior, params.birth_weight, target
-        )
-        mixture = GaussianMixture(mixture.components + birth.components, target)
-        mixture = prune_merge(
-            mixture, params.prune_threshold, params.merge_distance, params.max_components
-        )
-        targets, cardinality = extract_targets(mixture, params.extract_threshold)
-        if targets:
-            means = np.array([s.mean[:3] for s, _ in targets])
-            world, ok = geo.from_disparity_masked(target, means)
-            world = world[ok]  # a mean at d ~ 0 has no 3-D location
-        else:
-            world = np.empty((0, 3))
+        mixture, _ = phd_step(mixture, obs_set, dt_steps, rig, params)
+        world, cardinality = extract_targets_world(mixture, params.extract_threshold)
         records.append(
             PhdStepRecord(
                 time=obs_set.time,

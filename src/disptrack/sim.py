@@ -89,7 +89,6 @@ class CalibrationConfig:
     n_split_particles: int = 128
     prune_threshold: float = 1e-3
     max_components: int = 50
-    reweight_sides: str = "both"  # or "right-only"
 
 
 @dataclass(frozen=True)

@@ -59,28 +59,43 @@ class TestInitCalibration:
             assert p.rig.frame_for(geo.LEFT) is particles[0].rig.frame_for(geo.LEFT)
 
 
+def calibration_params(**phd_fields):
+    """CalibrationParams whose conditional PHD changes the given fields of
+    the calibration default."""
+    return cal.CalibrationParams(phd=replace(cal.CalibrationParams().phd, **phd_fields))
+
+
 class TestCalibrationLikelihood:
+    """The log multi-object likelihood that ``phd.phd_step`` returns and
+    ``joint_update`` weights the sensor particles by."""
+
+    def step(self, mixture, Z, **phd_fields):
+        rig = cal._build_rig(left_camera(), mixture.frame, table_intrinsics(), TRUE_SENSOR)
+        obs_set = phd.ObservationSet(time=0, camera=geo.LEFT, observations=tuple(Z))
+        _, log_lc = phd.phd_step(mixture, obs_set, 0, rig, phd.PhdParams(**phd_fields))
+        return log_lc
+
     def test_pure_clutter_closed_form(self):
         frame = geo.rectified_companion(left_camera(), 1.0)
-        detected = phd.empty_mixture(frame)
-        clutter = phd.ClutterModel(10.0, 800, 600)
         Z = [
             so.Observation(z=(100.0, 100.0), R=2.0 * np.eye(2), camera=geo.LEFT),
             so.Observation(z=(400.0, 300.0), R=2.0 * np.eye(2), camera=geo.LEFT),
             so.Observation(z=(700.0, 500.0), R=2.0 * np.eye(2), camera=geo.LEFT),
         ]
-        log_l = cal.calibration_likelihood(detected, Z, clutter)
+        log_l = self.step(phd.empty_mixture(frame), Z, clutter_rate=10.0)
         expected = -10.0 + 3.0 * np.log(10.0 / (800.0 * 600.0))
         assert log_l == pytest.approx(expected, abs=1e-12)
 
     def test_empty_observations(self):
+        # a component well inside the image is detected with p_D = 0.95, so
+        # W_det = 0.95 * 0.7
         frame = geo.rectified_companion(left_camera(), 1.0)
         state = so.GaussianState(
             mean=np.array([400.0, 300.0, -9.0]), cov=np.diag([2.0, 2.0, 1.0]), frame=frame
         )
-        detected = phd.GaussianMixture((phd.WeightedGaussian(0.7, state),), frame)
-        clutter = phd.ClutterModel(0.0, 800, 600)
-        assert cal.calibration_likelihood(detected, [], clutter) == pytest.approx(-0.7)
+        mixture = phd.GaussianMixture((phd.WeightedGaussian(0.7, state),), frame)
+        log_l = self.step(mixture, [], p_detect=0.95, clutter_rate=0.0)
+        assert log_l == pytest.approx(-0.95 * 0.7)
 
     def test_matches_independent_transcription(self):
         from scipy.stats import multivariate_normal
@@ -89,13 +104,13 @@ class TestCalibrationLikelihood:
         state = so.GaussianState(
             mean=np.array([400.0, 300.0, -9.0]), cov=np.diag([2.0, 2.0, 1.0]), frame=frame
         )
-        detected = phd.GaussianMixture((phd.WeightedGaussian(0.9, state),), frame)
-        clutter = phd.ClutterModel(10.0, 800, 600)
+        mixture = phd.GaussianMixture((phd.WeightedGaussian(0.9, state),), frame)
         z = so.Observation(z=(401.0, 299.0), R=np.eye(2), camera=geo.LEFT)
-        log_l = cal.calibration_likelihood(detected, [z], clutter)
+        log_l = self.step(mixture, [z], p_detect=0.95, clutter_rate=10.0)
         H = geo.disparity_observation_matrix(geo.LEFT)
         q = multivariate_normal.pdf(np.asarray(z.z), H @ state.mean, H @ state.cov @ H.T + z.R)
-        expected = -10.0 - 0.9 + np.log(10.0 / 480000.0 + 0.9 * q)
+        w_det = 0.95 * 0.9
+        expected = -10.0 - w_det + np.log(10.0 / 480000.0 + w_det * q)
         assert log_l == pytest.approx(expected, rel=1e-12)
 
     def test_agrees_with_update_denominators(self):
@@ -110,6 +125,7 @@ class TestCalibrationLikelihood:
                     so.GaussianState(mean=mean, cov=np.diag([2.0, 2.0, 1.0]), frame=frame),
                 )
             )
+        # with p_D = 1 inside the image every component is detected whole
         detected = phd.GaussianMixture(tuple(comps), frame)
         missed = phd.empty_mixture(frame)
         clutter = phd.ClutterModel(10.0, 800, 600)
@@ -119,7 +135,8 @@ class TestCalibrationLikelihood:
         ]
         _, log_denoms = phd.phd_update_with_denominators(missed, detected, Z, clutter)
         fused = -clutter.rate - detected.total_weight + log_denoms.sum()
-        assert cal.calibration_likelihood(detected, Z, clutter) == pytest.approx(fused, rel=1e-12)
+        log_l = self.step(detected, Z, p_detect=1.0, clutter_rate=10.0)
+        assert log_l == pytest.approx(fused, rel=1e-12)
 
 
 def synthetic_sets(rig, targets, n_steps, seed, clutter_rate=10.0, p_detect=0.95):
@@ -162,7 +179,7 @@ class TestJointUpdate:
         particles = cal.init_calibration(prior, left, table_intrinsics(), 0)
         rig = particles[0].rig
         sets = synthetic_sets(rig, TARGETS, 5, seed=42)
-        params = cal.CalibrationParams(
+        params = calibration_params(
             disparity_prior=(-7.0, 8.0),
             birth_weight=0.01,
             prune_threshold=1e-6,
@@ -171,20 +188,7 @@ class TestJointUpdate:
             n_split_particles=256,
             seed=9,
         )
-        phd_params = phd.PhdParams(
-            p_survival=params.p_survival,
-            p_detect=params.p_detect,
-            clutter_rate=params.clutter_rate,
-            disparity_prior=params.disparity_prior,
-            birth_weight=params.birth_weight,
-            prune_threshold=params.prune_threshold,
-            merge_distance=params.merge_distance,
-            max_components=params.max_components,
-            n_move_particles=params.n_move_particles,
-            n_split_particles=params.n_split_particles,
-            seed=9,
-        )
-        reference = phd.phd_track(rig, sets, phd_params)
+        reference = phd.phd_track(rig, sets, params.phd)
         last_time = None
         for obs_set in sets:
             dt_steps = 0 if last_time is None else obs_set.time - last_time
@@ -195,7 +199,7 @@ class TestJointUpdate:
         ref = reference.final_mixture
         assert len(final) == len(ref)
         for a, b in zip(final.components, ref.components):
-            assert a.weight == pytest.approx(b.weight, rel=1e-12)
+            assert a.weight == b.weight
             assert np.array_equal(a.state.mean, b.state.mean)
             assert np.array_equal(a.state.cov, b.state.cov)
 
@@ -219,7 +223,7 @@ class TestJointUpdate:
         ]
         true_rig = particles[0].rig
         sets = synthetic_sets(true_rig, TARGETS, 10, seed=7, clutter_rate=5.0)
-        params = cal.CalibrationParams(disparity_prior=(-7.0, 8.0), clutter_rate=5.0, seed=3)
+        params = calibration_params(disparity_prior=(-7.0, 8.0), clutter_rate=5.0, seed=3)
         last_time = None
         for obs_set in sets:
             dt_steps = 0 if last_time is None else obs_set.time - last_time
@@ -236,7 +240,7 @@ class TestJointUpdate:
         particles = cal.init_calibration(make_prior(count=3), left, table_intrinsics(), 4)
         particles = [replace(p, weight=w) for p, w in zip(particles, (0.0, 0.5, 0.5))]
         obs_set = synthetic_sets(particles[1].rig, TARGETS, 1, seed=5)[0]
-        params = cal.CalibrationParams(disparity_prior=(-7.0, 8.0), seed=3)
+        params = calibration_params(disparity_prior=(-7.0, 8.0), seed=3)
         stepped = cal.joint_update(particles, obs_set, 0, params)
         assert stepped[0].weight == 0.0
         assert sum(p.weight for p in stepped) == pytest.approx(1.0, abs=1e-12)
@@ -332,7 +336,7 @@ class TestCalibrate:
         prior = make_prior(count=4, sigma_scale=0.0)
         rig = cal._build_rig(left, geo.rectified_companion(left, 1.0), table_intrinsics(), TRUE_SENSOR)
         sets = synthetic_sets(rig, TARGETS, 4, seed=11, clutter_rate=5.0)
-        params = cal.CalibrationParams(disparity_prior=(-7.0, 8.0), clutter_rate=5.0, seed=2)
+        params = calibration_params(disparity_prior=(-7.0, 8.0), clutter_rate=5.0, seed=2)
         result = cal.calibrate(left, table_intrinsics(), sets, prior, params)
         for rec in result.records:
             np.testing.assert_allclose(rec.estimate.as_vector(), TRUE_SENSOR.as_vector(), atol=1e-10)
@@ -342,8 +346,8 @@ class TestCalibrate:
         prior = make_prior(count=16, sigma_scale=0.5)
         rig = cal._build_rig(left, geo.rectified_companion(left, 1.0), table_intrinsics(), TRUE_SENSOR)
         sets = synthetic_sets(rig, TARGETS, 3, seed=13, clutter_rate=5.0)
-        params = cal.CalibrationParams(disparity_prior=(-7.0, 8.0), clutter_rate=5.0, seed=4)
-        particles = cal.init_calibration(prior, left, table_intrinsics(), params.seed)
+        params = calibration_params(disparity_prior=(-7.0, 8.0), clutter_rate=5.0, seed=4)
+        particles = cal.init_calibration(prior, left, table_intrinsics(), params.phd.seed)
         last_time = None
         for obs_set in sets:
             dt_steps = 0 if last_time is None else obs_set.time - last_time
@@ -357,7 +361,7 @@ class TestCalibrate:
         # factor, so the normalised weights stay put
         left = left_camera()
         prior = make_prior(count=8, sigma_scale=0.3)
-        params = cal.CalibrationParams(disparity_prior=(-7.0, 8.0), clutter_rate=5.0, seed=5)
+        params = calibration_params(disparity_prior=(-7.0, 8.0), clutter_rate=5.0, seed=5)
         particles = cal.init_calibration(prior, left, table_intrinsics(), 6)
         rig0 = particles[0].rig
         sets = synthetic_sets(rig0, TARGETS, 2, seed=17, clutter_rate=5.0)

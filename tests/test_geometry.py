@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.stats import multivariate_normal
 
 from disptrack import geometry as geo
+from disptrack import single_object as so
 
 
 def table_intrinsics(**kw):
@@ -273,9 +275,24 @@ class TestRectifiedCompanion:
 class TestStereoRig:
     def test_rectified_rig_shares_frame(self):
         rig = geo.StereoRig.make_rectified(identity_camera(), 1.0)
-        assert rig.frame_for(geo.LEFT) is rig.frame_for(geo.RIGHT)
-        H = rig.observation_matrix(rig.frame_for(geo.RIGHT), geo.RIGHT, dynamic=False)
-        np.testing.assert_array_equal(H, [[1, 0, 1], [0, 1, 0]])
+        frame = rig.frame_for(geo.RIGHT)
+        assert rig.frame_for(geo.LEFT) is frame
+        # the partner camera sees (u + d, v): it updates a state of the
+        # shared frame through H = [[1, 0, 1], [0, 1, 0]]
+        state = so.GaussianState(
+            mean=np.array([400.0, 300.0, -9.0]), cov=np.diag([2.0, 3.0, 1.5]), frame=frame
+        )
+        obs = so.Observation(z=(392.5, 301.0), R=np.diag([1.0, 2.0]), camera=geo.RIGHT)
+        post, loglik = so.kalman_update(state, obs)
+        H = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        S = H @ state.cov @ H.T + obs.R
+        K = state.cov @ H.T @ np.linalg.inv(S)
+        innov = np.asarray(obs.z) - H @ state.mean
+        np.testing.assert_allclose(post.mean, state.mean + K @ innov, rtol=1e-12)
+        np.testing.assert_allclose(post.cov, (np.eye(3) - K @ H) @ state.cov, atol=1e-12)
+        assert loglik == pytest.approx(
+            multivariate_normal.logpdf(np.asarray(obs.z), H @ state.mean, S), rel=1e-12
+        )
 
     def test_non_rectified_rig_rejects_cross_camera_matrix(self):
         left = identity_camera()
@@ -284,5 +301,10 @@ class TestStereoRig:
         )
         rig = geo.StereoRig.make_non_rectified(left, right)
         assert rig.frame_for(geo.LEFT) is not rig.frame_for(geo.RIGHT)
+        # the right camera has no linear observation matrix in the left
+        # camera's frame, so updating there needs a particle move first
+        state = so.GaussianState(
+            mean=np.array([400.0, 300.0, -9.0]), cov=np.eye(3), frame=rig.frame_for(geo.LEFT)
+        )
         with pytest.raises(ValueError):
-            rig.observation_matrix(rig.frame_for(geo.LEFT), geo.RIGHT, dynamic=False)
+            so.kalman_update(state, so.Observation(z=(10.0, 10.0), R=np.eye(2), camera=geo.RIGHT))

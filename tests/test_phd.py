@@ -161,7 +161,7 @@ class TestPhdUpdate:
         detected = mixture_of(frame, (1.0, state))
         missed = phd.empty_mixture(frame)
         z = so.Observation(z=tuple(state.mean[:2]), R=2.0 * np.eye(2), camera=geo.LEFT)
-        post = phd.phd_update(missed, detected, [z], self.make_clutter(0.0))
+        post = phd.phd_update_with_denominators(missed, detected, [z], self.make_clutter(0.0))[0]
         assert len(post) == 1
         assert post.components[0].weight == pytest.approx(1.0)
 
@@ -172,7 +172,7 @@ class TestPhdUpdate:
         det = phd.DetectionModel(0.95, 800, 600)
         mix = mixture_of(frame, (1.0, state))
         missed, detected = phd.split_detection(mix, det, 256, rng_seed=0)
-        post = phd.phd_update(missed, detected, [], self.make_clutter(10.0))
+        post = phd.phd_update_with_denominators(missed, detected, [], self.make_clutter(10.0))[0]
         assert post.total_weight == pytest.approx(0.05)
 
     def test_weight_ratio_matches_scalar_reimplementation(self):
@@ -186,7 +186,7 @@ class TestPhdUpdate:
         z = so.Observation(
             z=(s1.mean[0] + 1.0, s1.mean[1] - 0.5), R=2.0 * np.eye(2), camera=geo.LEFT
         )
-        post = phd.phd_update(missed, detected, [z], clutter)
+        post = phd.phd_update_with_denominators(missed, detected, [z], clutter)[0]
 
         # independent transcription of the update weights
         H = geo.disparity_observation_matrix(geo.LEFT)
@@ -215,7 +215,7 @@ class TestPhdUpdate:
             so.Observation(z=(rng.uniform(0, 800), rng.uniform(0, 600)), R=2.0 * np.eye(2), camera=geo.LEFT)
             for _ in range(5)
         ]
-        post = phd.phd_update(missed, detected, Z, clutter)
+        post = phd.phd_update_with_denominators(missed, detected, Z, clutter)[0]
         H = geo.disparity_observation_matrix(geo.LEFT)
         k = len(detected.components)
         for j, z in enumerate(Z):
@@ -238,7 +238,9 @@ class TestPhdUpdate:
             so.Observation(z=(400.0, 300.0), R=2.0 * np.eye(2), camera=geo.LEFT),
             so.Observation(z=(100.0, 100.0), R=2.0 * np.eye(2), camera=geo.LEFT),
         ]
-        post = phd.phd_update(missed, detected, Z, self.make_clutter(10.0))
+        post = phd.phd_update_with_denominators(
+            missed, detected, Z, self.make_clutter(10.0)
+        )[0]
         bound = missed.total_weight + detected.total_weight + len(Z)
         assert post.total_weight <= bound + 1e-9
 
@@ -558,7 +560,9 @@ class TestPhdTrack:
             missed, detected = phd.split_detection(
                 mixture, det, 256, seed_keys=(11, obs_set.time, SALT_SPLIT, side)
             )
-            mixture = phd.phd_update(missed, detected, list(obs_set.observations), clutter)
+            mixture = phd.phd_update_with_denominators(
+                missed, detected, list(obs_set.observations), clutter
+            )[0]
             mixture = phd.prune_merge(mixture, 1e-6, 7.0, 100)
             targets, _ = phd.extract_targets(mixture)
             estimates.append(geo.from_disparity(target, targets[0][0].mean[:3]))
@@ -589,3 +593,9 @@ class TestPhdTrack:
         result = phd.phd_track(rig, sets, params)
         n_extracted = np.array([len(r.targets_world) for r in result.records])
         assert np.mean(n_extracted == 0) >= 0.95
+
+    def test_sets_out_of_time_order_rejected(self):
+        rig = skewed_rig()
+        sets = self.synchronous_sets(rig, np.array([0.0, 0.0, 150.0]), 2, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="time-ordered"):
+            phd.phd_track(rig, [sets[2], sets[1]], phd.PhdParams(n_move_particles=50))
