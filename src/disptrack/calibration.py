@@ -126,12 +126,12 @@ def init_calibration(
     prior: CalibrationPrior,
     left: geo.ProjectiveCamera,
     right_intrinsics: geo.CameraIntrinsics,
-    rng_seed,
+    seed: int,
 ) -> list[SensorParticle]:
     """Sample the particle population from the prior with uniform weights,
     an empty conditional mixture and a cached geometry per particle."""
-    rng = derive_rng(rng_seed, SALT_CALIBRATION) if isinstance(rng_seed, int) else rng_seed
-    left_frame = geo.rectified_companion(left, 1.0, owner=geo.LEFT)
+    rng = derive_rng(seed, SALT_CALIBRATION)
+    left_frame = geo.rectified_companion(left, owner=geo.LEFT)
     mean = prior.mean.as_vector()
     sigmas = prior.sigmas()
     particles = []

@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import calibration as cal
-from . import geometry as geo
 from . import metrics
 from . import phd as phd_mod
 from . import sim
@@ -33,16 +32,15 @@ def per_step_estimates(estimates: np.ndarray, times: np.ndarray, n_steps: int) -
     return out
 
 
-def _tracking_params(cfg: sim.ScenarioConfig, seed: int) -> so.TrackingParams:
+def _shared_params(cfg: sim.ScenarioConfig, seed: int) -> dict:
+    """The object model, transport count and seed that ``TrackingParams`` and
+    ``PhdParams`` share, read from the scenario's filter config. Whether the
+    object moves follows from its velocity prior alone."""
     f = cfg.filter
-    dynamic = f.velocity_prior is not None
-    motion = so.MotionModel(
-        kind="constant-velocity" if dynamic else "static", q=f.process_noise, dt=cfg.dt
-    )
-    return so.TrackingParams(
+    return dict(
         disparity_prior=tuple(f.disparity_prior),
-        velocity_prior=tuple(f.velocity_prior) if dynamic else None,
-        motion=motion,
+        velocity_prior=None if f.velocity_prior is None else tuple(f.velocity_prior),
+        motion=so.MotionModel(q=f.process_noise, dt=cfg.dt),
         n_move_particles=f.n_move_particles,
         seed=seed,
     )
@@ -50,25 +48,17 @@ def _tracking_params(cfg: sim.ScenarioConfig, seed: int) -> so.TrackingParams:
 
 def _phd_params(cfg: sim.ScenarioConfig, seed: int) -> phd_mod.PhdParams:
     f = cfg.filter
-    dynamic = f.velocity_prior is not None
-    motion = so.MotionModel(
-        kind="constant-velocity" if dynamic else "static", q=f.process_noise, dt=cfg.dt
-    )
     return phd_mod.PhdParams(
+        **_shared_params(cfg, seed),
         p_survival=f.p_survival,
         p_detect=cfg.p_detect,
         clutter_rate=cfg.clutter_rate,
-        disparity_prior=tuple(f.disparity_prior),
-        velocity_prior=tuple(f.velocity_prior) if dynamic else None,
         birth_weight=f.birth_weight,
         prune_threshold=f.prune_threshold,
         merge_distance=f.merge_distance,
         max_components=f.max_components,
-        n_move_particles=f.n_move_particles,
         n_split_particles=f.n_split_particles,
         extract_threshold=f.extract_threshold,
-        motion=motion,
-        seed=seed,
     )
 
 
@@ -86,7 +76,7 @@ def _localise_one(run_index: int, run_seed: int, cfg: sim.ScenarioConfig, baseli
     truth = sim.generate_truth(cfg)
     sets = sim.generate_observations(truth, cfg, run_seed)
     stream = sim.flatten_single_object(sets)
-    params = _tracking_params(cfg, run_seed)
+    params = so.TrackingParams(**_shared_params(cfg, run_seed))
     result = so.track_single(cfg.rig(), stream, params)
     estimates = per_step_estimates(result.estimates, result.times, cfg.n_steps)
     base = None
@@ -95,12 +85,12 @@ def _localise_one(run_index: int, run_seed: int, cfg: sim.ScenarioConfig, baseli
             cfg.rig(),
             stream,
             cfg.filter.baseline_particles,
-            tuple(cfg.filter.disparity_prior),
+            params.disparity_prior,
             seed=run_seed,
         )
         base = per_step_estimates(pf.estimates, pf.times, cfg.n_steps)
     elif baseline == "idekf":
-        ekf = so.baseline_inverse_depth_ekf(cfg.rig(), stream, tuple(cfg.filter.disparity_prior))
+        ekf = so.baseline_inverse_depth_ekf(cfg.rig(), stream, params.disparity_prior)
         base = per_step_estimates(ekf.estimates, ekf.times, cfg.n_steps)
     return LocaliseRun(estimates=estimates, baseline=base)
 
@@ -210,20 +200,18 @@ def _track_one(run_index: int, run_seed: int, cfg: sim.ScenarioConfig, pf_sizes:
     sets = sim.generate_observations(truth, cfg, run_seed)
     stream = sim.flatten_single_object(sets)
     rig = cfg.rig()
-    params = _tracking_params(cfg, run_seed)
+    params = so.TrackingParams(**_shared_params(cfg, run_seed))
     result = so.track_single(rig, stream, params)
     ds = per_step_estimates(result.estimates, result.times, cfg.n_steps)
-    f = cfg.filter
-    motion = so.MotionModel(kind="constant-velocity", q=f.process_noise, dt=cfg.dt)
     pf_all = {}
     for n in pf_sizes:
         pf = so.baseline_pf(
             rig,
             stream,
             n,
-            tuple(f.disparity_prior),
+            params.disparity_prior,
             world_velocity_prior=(0.0, 16.0),
-            motion=motion,
+            motion=params.motion,
             seed=run_seed,
         )
         pf_all[n] = per_step_estimates(pf.estimates, pf.times, cfg.n_steps)

@@ -12,13 +12,15 @@ Coordinate conventions used throughout the package:
   may be negative, in which case the image is mirrored and the disparity of
   points in front of a horizontally rectified pair is negative.
 
-A disparity space is attached to a horizontally rectified camera pair
-(physical or with an abstract companion camera) and parametrises a world
-point ``x`` as ``y = (u, v, d)`` where ``(u, v)`` is the projection onto the
-anchor ("left") camera and ``d = u_right - u_left``. The map between world
-and disparity coordinates is a single invertible 4x4 homogeneous transform,
-so Gaussian image-plane noise stays Gaussian in disparity coordinates while
-a one-to-one link with the 3-D world is preserved.
+A disparity space is attached to a horizontally rectified camera pair and
+parametrises a world point ``x`` as ``y = (u, v, d)`` where ``(u, v)`` is the
+projection onto the anchor ("left") camera and ``d = u_right - u_left``. The
+companion camera is either a physical sensor or an abstract one displaced by
+``ABSTRACT_BASELINE`` along the anchor's x axis, of which only the
+projection matrix is formed. The map between world and disparity
+coordinates is a single invertible 4x4 homogeneous transform, so Gaussian
+image-plane noise stays Gaussian in disparity coordinates while a one-to-one
+link with the 3-D world is preserved.
 
 Points are plain numpy arrays: world points ``(..., 3)`` in cm, disparity
 points ``(..., 3)`` in pixels (u, v, d), image points ``(..., 2)`` in pixels.
@@ -36,6 +38,10 @@ RIGHT = "right"
 
 # Homogeneous components smaller than this are treated as singular.
 W_TOL = 1e-12
+
+# Baseline of the abstract companion that defines a single camera's
+# disparity space; any nonzero value gives an equivalent space.
+ABSTRACT_BASELINE = 1.0
 
 
 class GeometryError(Exception):
@@ -209,7 +215,7 @@ class DisparityFrame:
 
     ``owner`` names the physical camera whose image plane anchors the space;
     ``physical_pair`` is True when the companion camera is a real sensor
-    (rectified rig) rather than an abstract construction.
+    (rectified rig) rather than the abstract one.
     """
 
     P_d: np.ndarray = field(repr=False)
@@ -217,18 +223,20 @@ class DisparityFrame:
     owner: str
     baseline: float
     physical_pair: bool
-    anchor_camera: ProjectiveCamera = field(repr=False)
-    partner_camera: ProjectiveCamera = field(repr=False)
+
+
+def _companion_projection(camera: ProjectiveCamera, baseline: float) -> np.ndarray:
+    """Projection matrix of the camera displaced by ``baseline`` along its
+    own x axis: P with only the first-row offset changed, so rows 2 and 3
+    are shared bit-for-bit rather than up to rounding."""
+    P_r = camera.P.copy()
+    P_r[0, 3] += camera.intrinsics.fu * baseline
+    return P_r
 
 
 def _disparity_frame_from(
-    camera: ProjectiveCamera,
-    partner: ProjectiveCamera,
-    baseline: float,
-    owner: str,
-    physical_pair: bool,
+    P_l: np.ndarray, P_r: np.ndarray, baseline: float, owner: str, physical_pair: bool
 ) -> DisparityFrame:
-    P_l, P_r = camera.P, partner.P
     P_d = np.vstack([P_l[0], P_l[1], P_r[0] - P_l[0], P_l[2]])
     # P_d is defined up to scale; normalising the whole matrix so that the
     # homogenising row has unit norm improves the conditioning of the inverse.
@@ -240,28 +248,8 @@ def _disparity_frame_from(
     if not np.allclose(P_d @ P_d_inv, np.eye(4), atol=1e-10):
         raise ValueError("disparity transform inversion failed")
     return DisparityFrame(
-        P_d=P_d,
-        P_d_inv=P_d_inv,
-        owner=owner,
-        baseline=baseline,
-        physical_pair=physical_pair,
-        anchor_camera=camera,
-        partner_camera=partner,
+        P_d=P_d, P_d_inv=P_d_inv, owner=owner, baseline=baseline, physical_pair=physical_pair
     )
-
-
-def _displaced_along_camera_x(camera: ProjectiveCamera, baseline: float) -> ProjectiveCamera:
-    """Camera sharing K and orientation, with centre moved so that its
-    world-to-camera transform gains a +baseline offset along camera x."""
-    R = camera.pose.rotation()
-    c = np.asarray(camera.pose.position, dtype=float) - baseline * R[:, 0]
-    pose = CameraPose(
-        position=tuple(c),
-        yaw=camera.pose.yaw,
-        pitch=camera.pose.pitch,
-        roll=camera.pose.roll,
-    )
-    return build_camera(camera.intrinsics, pose)
 
 
 def make_rectified_pair(
@@ -270,39 +258,32 @@ def make_rectified_pair(
     """Build the physical right camera of a horizontally rectified pair and
     the disparity frame of the pair.
 
-    The right camera shares projection rows 2 and 3 with the left camera by
-    construction.
+    The right camera shares K and orientation with the left camera; its
+    centre moves so that its world-to-camera transform gains a +baseline
+    offset along camera x.
     """
     if baseline == 0:
         raise ValueError("baseline must be nonzero")
-    right = _displaced_along_camera_x(left, baseline)
-    # Rebuild P_r exactly as P_l with only the first-row offset so rows 2 and
-    # 3 are shared bit-for-bit rather than up to rounding.
-    P_r = left.P.copy()
-    P_r[0, 3] += left.intrinsics.fu * baseline
-    right = ProjectiveCamera(intrinsics=right.intrinsics, pose=right.pose, P=P_r)
-    frame = _disparity_frame_from(left, right, baseline, owner=LEFT, physical_pair=True)
+    pose = left.pose
+    c = np.asarray(pose.position, dtype=float) - baseline * pose.rotation()[:, 0]
+    right = ProjectiveCamera(
+        intrinsics=left.intrinsics,
+        pose=CameraPose(position=tuple(c), yaw=pose.yaw, pitch=pose.pitch, roll=pose.roll),
+        P=_companion_projection(left, baseline),
+    )
+    frame = _disparity_frame_from(left.P, right.P, baseline, owner=LEFT, physical_pair=True)
     return right, frame
 
 
-def rectified_companion(
-    camera: ProjectiveCamera, abstract_baseline: float = 1.0, owner: str = LEFT
-) -> DisparityFrame:
+def rectified_companion(camera: ProjectiveCamera, owner: str = LEFT) -> DisparityFrame:
     """Disparity frame of (camera, abstract companion rectified with it).
 
-    The companion never produces observations; it only defines the space.
+    The companion never produces observations; it only defines the space,
+    so only its projection matrix is formed.
     """
-    if abstract_baseline == 0:
-        raise ValueError("baseline must be nonzero")
-    P_r = camera.P.copy()
-    P_r[0, 3] += camera.intrinsics.fu * abstract_baseline
-    partner = ProjectiveCamera(
-        intrinsics=camera.intrinsics,
-        pose=_displaced_along_camera_x(camera, abstract_baseline).pose,
-        P=P_r,
-    )
+    P_r = _companion_projection(camera, ABSTRACT_BASELINE)
     return _disparity_frame_from(
-        camera, partner, abstract_baseline, owner=owner, physical_pair=False
+        camera.P, P_r, ABSTRACT_BASELINE, owner=owner, physical_pair=False
     )
 
 
@@ -385,30 +366,23 @@ class StereoRig:
     left: ProjectiveCamera
     right: ProjectiveCamera
     frames: dict[str, DisparityFrame] = field(repr=False)
-    rectified: bool = False
 
     @classmethod
     def make_rectified(cls, left: ProjectiveCamera, baseline: float) -> "StereoRig":
         right, frame = make_rectified_pair(left, baseline)
-        return cls(left=left, right=right, frames={LEFT: frame, RIGHT: frame}, rectified=True)
+        return cls(left=left, right=right, frames={LEFT: frame, RIGHT: frame})
 
     @classmethod
     def make_non_rectified(
         cls,
         left: ProjectiveCamera,
         right: ProjectiveCamera,
-        abstract_baseline: float = 1.0,
         left_frame: DisparityFrame | None = None,
     ) -> "StereoRig":
         if left_frame is None:
-            left_frame = rectified_companion(left, abstract_baseline, owner=LEFT)
-        right_frame = rectified_companion(right, abstract_baseline, owner=RIGHT)
-        return cls(
-            left=left,
-            right=right,
-            frames={LEFT: left_frame, RIGHT: right_frame},
-            rectified=False,
-        )
+            left_frame = rectified_companion(left, owner=LEFT)
+        right_frame = rectified_companion(right, owner=RIGHT)
+        return cls(left=left, right=right, frames={LEFT: left_frame, RIGHT: right_frame})
 
     def camera(self, side: str) -> ProjectiveCamera:
         if side == LEFT:

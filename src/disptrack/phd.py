@@ -163,20 +163,16 @@ def split_component(
 
 
 def split_detection(
-    mix: GaussianMixture,
-    det: DetectionModel,
-    n_particles: int = 256,
-    rng_seed=0,
-    seed_keys: tuple | None = None,
+    mix: GaussianMixture, det: DetectionModel, n_particles: int, seed_keys: tuple
 ) -> tuple[GaussianMixture, GaussianMixture]:
     """Split a predicted mixture into missed-detection and detection parts.
 
-    With ``seed_keys`` given, component k samples from the derived stream
-    (\\*seed_keys, k) so results do not depend on evaluation order.
+    Component k samples from the derived stream (\\*seed_keys, k), so results
+    do not depend on evaluation order.
     """
     missed, detected = [], []
     for k, comp in enumerate(mix.components):
-        rng = derive_rng(*seed_keys, k) if seed_keys is not None else as_rng(rng_seed)
+        rng = derive_rng(*seed_keys, k)
         m, d = split_component(comp.weight, comp.state, det, n_particles, rng)
         if m is not None:
             missed.append(m)
@@ -193,13 +189,12 @@ def phd_predict(
     target: geo.DisparityFrame,
     p_survival: float,
     model: so.MotionModel | None,
-    birth: GaussianMixture | None = None,
     n_particles: int = 250,
     seed_keys: tuple = (0, 0, SALT_PARTICLE, 0),
 ) -> GaussianMixture:
     """PHD prediction: transport every component into ``target`` with the
-    particle move (composing the motion model when given), scale weights by
-    the survival probability and append birth components.
+    particle move (composing the motion model when given) and scale weights
+    by the survival probability. Births join after the update (``phd_step``).
 
     A same-frame component whose transport degenerates (every particle
     singular) is retained unchanged so it can recover; a cross-frame one has
@@ -218,10 +213,6 @@ def phd_predict(
                 continue
             state = comp.state
         moved.append(WeightedGaussian(p_survival * comp.weight, state))
-    if birth is not None:
-        if birth.components and birth.frame is not target:
-            raise ValueError("birth mixture must live in the target frame")
-        moved.extend(birth.components)
     return GaussianMixture(tuple(moved), target)
 
 
@@ -428,7 +419,7 @@ class PhdParams:
     n_move_particles: int = 250
     n_split_particles: int = 256
     extract_threshold: float = 0.5
-    motion: so.MotionModel = so.MotionModel(kind="static")
+    motion: so.MotionModel = so.MotionModel()
     seed: int = 0
 
 
@@ -488,7 +479,6 @@ def phd_step(
             target,
             survival,
             model,
-            None,
             n_particles=params.n_move_particles,
             seed_keys=(params.seed, obs_set.time, SALT_PARTICLE, side),
         )

@@ -11,7 +11,7 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,9 +134,6 @@ class ScenarioConfig:
     def rig(self) -> geo.StereoRig:
         return geo.StereoRig.make_non_rectified(self.left.build(), self.right.build())
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
         d = dict(data)
@@ -153,7 +150,7 @@ class ScenarioConfig:
             if d.get("grid_priors") is not None:
                 d["grid_priors"] = tuple(tuple(p) for p in d["grid_priors"])
             return cls(**d)
-        except TypeError as exc:
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed scenario config: {exc}") from None
 
 

@@ -157,16 +157,15 @@ class MotionModel:
     """Constant-velocity world-space motion with white velocity noise.
 
     q is the velocity-increment variance per axis over one second
-    (cm^2 s^-2); the per-step increment has variance q*dt.
+    (cm^2 s^-2); the per-step increment has variance q*dt. Whether an object
+    moves at all is decided by its velocity prior: a static (3-D) state has
+    no velocity to move with.
     """
 
-    kind: str = "constant-velocity"
     q: float = 0.0
     dt: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("static", "constant-velocity"):
-            raise ValueError(f"unknown motion kind {self.kind!r}")
         if self.q < 0:
             raise ValueError("process noise variance must be nonnegative")
         if self.dt <= 0:
@@ -298,7 +297,9 @@ def particle_move(
     rng_seed,
 ) -> GaussianState:
     """Transport a Gaussian belief into another disparity space through 3-D,
-    optionally composing a world-space motion step, and refit a Gaussian.
+    composing a world-space motion step when ``model`` is given, and refit a
+    Gaussian. With ``target`` the state's own frame this is the motion
+    prediction within one space.
 
     Velocities are transported without Jacobians by mapping a closely spaced
     point pair (x, x + v*eps) and differencing. A particle whose probe pair
@@ -309,8 +310,7 @@ def particle_move(
     """
     if n_particles < 2:
         raise ValueError("need at least two particles")
-    apply_motion = model is not None and model.kind == "constant-velocity"
-    if apply_motion and not state.dynamic:
+    if model is not None and not state.dynamic:
         raise ValueError("constant-velocity transition requires a dynamic state")
     rng = as_rng(rng_seed)
     samples = _sample_gaussian(state, n_particles, rng)
@@ -326,7 +326,7 @@ def particle_move(
         v = (x2 - x) / eps
         valid &= (np.abs(w2) > geo.W_TOL) & (w1 * w2 > 0.0)
 
-    if apply_motion:
+    if model is not None:
         noise = rng.standard_normal((n_particles, 3)) * np.sqrt(model.q * model.dt)
         x = x + model.dt * v
         v = v + noise
@@ -350,23 +350,12 @@ def particle_move(
     return GaussianState(mean=mean, cov=cov, frame=target)
 
 
-def particle_prediction(
-    state: GaussianState, model: MotionModel, n_particles: int, rng_seed
-) -> GaussianState:
-    """Motion prediction within the state's own disparity space: sample,
-    map to world space, apply the transition, map back, refit."""
-    if not state.dynamic:
-        raise ValueError("particle prediction requires a dynamic (6-D) state")
-    return particle_move(state, state.frame, model, n_particles, None, rng_seed)
-
-
 @dataclass(frozen=True)
 class TrackingParams:
     disparity_prior: tuple[float, float] = (-7.0, 5.4)
     velocity_prior: tuple[float, float] | None = None
-    motion: MotionModel = MotionModel(kind="static")
+    motion: MotionModel = MotionModel()
     n_move_particles: int = 250
-    fov_truncation: bool = True
     seed: int = 0
 
 
@@ -383,7 +372,7 @@ _SIDE_INDEX = {geo.LEFT: 0, geo.RIGHT: 1}
 
 
 def _effective_model(motion: MotionModel, dt_steps: int) -> MotionModel | None:
-    if motion.kind != "constant-velocity" or dt_steps <= 0:
+    if dt_steps <= 0:
         return None
     return replace(motion, dt=motion.dt * dt_steps)
 
@@ -396,9 +385,11 @@ def track_single(
 
     The first observation initialises the belief in its camera's disparity
     space. Afterwards each observation triggers: nothing (static object seen
-    by the camera owning the current space), a particle prediction (same
-    space, time advanced), or a particle move (other camera's space, with the
-    motion step composed when time advanced), followed by a Kalman update.
+    by the camera owning the current space), a particle move within the same
+    space (dynamic object, time advanced), or a particle move into the other
+    camera's space (with the motion step composed for a dynamic object when
+    time advanced, and particles outside that camera's field of view
+    dropped), followed by a Kalman update.
     The 3-D estimate is the disparity-space MAP (the mean) mapped to world
     space.
     """
@@ -424,12 +415,11 @@ def track_single(
             rng = derive_rng(params.seed, obs.time, SALT_PARTICLE, _SIDE_INDEX[obs.camera], 0)
             if target is state.frame:
                 if model is not None:
-                    state = particle_prediction(state, model, params.n_move_particles, rng)
+                    state = particle_move(state, target, model, params.n_move_particles, None, rng)
                     counters["particle_predictions"] += 1
             else:
-                fov = rig.camera(obs.camera) if params.fov_truncation else None
                 state = particle_move(
-                    state, target, model, params.n_move_particles, fov, rng
+                    state, target, model, params.n_move_particles, rig.camera(obs.camera), rng
                 )
                 counters["particle_moves"] += 1
             state, loglik = kalman_update(state, obs)
@@ -521,9 +511,10 @@ def baseline_pf(
         cam = rig.camera(obs.camera)
         uv_pred, in_front = geo.project_masked(cam, x)
         innov = uv_pred - np.asarray(obs.z)
-        sol = scipy.linalg.cho_solve((np.linalg.cholesky(obs.R), True), innov.T).T
+        chol_R = np.linalg.cholesky(obs.R)
+        sol = scipy.linalg.cho_solve((chol_R, True), innov.T).T
         step_ll = -0.5 * np.einsum("ij,ij->i", innov, sol)
-        step_ll -= 0.5 * (2 * np.log(2 * np.pi) + 2 * np.log(np.diag(np.linalg.cholesky(obs.R))).sum())
+        step_ll -= 0.5 * (2 * np.log(2 * np.pi) + 2 * np.log(np.diag(chol_R)).sum())
         logw = logw + np.where(in_front, step_ll, -np.inf)
         w = normalised(logw)
         if w is None:
@@ -619,17 +610,13 @@ def baseline_inverse_depth_ekf(
             )
             H = J_img @ J_ray
             pred = np.array([a / w, b / w])
+            if not np.isfinite(H @ cov).all():
+                raise ValueError("linearised observation model is not finite")
             # EKF update with the innovation evaluated at the nonlinear
             # prediction rather than H @ mean
-            S = H @ cov @ H.T + obs.R
-            try:
-                chol = np.linalg.cholesky(symmetrise(S))
-            except np.linalg.LinAlgError:
-                raise NumericalDegeneracyError("innovation covariance not invertible") from None
-            K = scipy.linalg.cho_solve((chol, True), H @ cov).T
-            mean = mean + K @ (np.asarray(obs.z) - pred)
-            I_KH = np.eye(3) - K @ H
-            cov = ensure_spd(I_KH @ cov @ I_KH.T + K @ obs.R @ K.T)
+            factor = innovation_factor(mean, cov, H, obs.R)
+            mean = mean + factor.gain @ (np.asarray(obs.z) - pred)
+            cov = factor.post_cov
         estimates.append(point(mean))
         times.append(obs.time)
 

@@ -76,7 +76,7 @@ class TestCalibrationLikelihood:
         return log_lc
 
     def test_pure_clutter_closed_form(self):
-        frame = geo.rectified_companion(left_camera(), 1.0)
+        frame = geo.rectified_companion(left_camera())
         Z = [
             so.Observation(z=(100.0, 100.0), R=2.0 * np.eye(2), camera=geo.LEFT),
             so.Observation(z=(400.0, 300.0), R=2.0 * np.eye(2), camera=geo.LEFT),
@@ -89,7 +89,7 @@ class TestCalibrationLikelihood:
     def test_empty_observations(self):
         # a component well inside the image is detected with p_D = 0.95, so
         # W_det = 0.95 * 0.7
-        frame = geo.rectified_companion(left_camera(), 1.0)
+        frame = geo.rectified_companion(left_camera())
         state = so.GaussianState(
             mean=np.array([400.0, 300.0, -9.0]), cov=np.diag([2.0, 2.0, 1.0]), frame=frame
         )
@@ -100,7 +100,7 @@ class TestCalibrationLikelihood:
     def test_matches_independent_transcription(self):
         from scipy.stats import multivariate_normal
 
-        frame = geo.rectified_companion(left_camera(), 1.0)
+        frame = geo.rectified_companion(left_camera())
         state = so.GaussianState(
             mean=np.array([400.0, 300.0, -9.0]), cov=np.diag([2.0, 2.0, 1.0]), frame=frame
         )
@@ -114,7 +114,7 @@ class TestCalibrationLikelihood:
         assert log_l == pytest.approx(expected, rel=1e-12)
 
     def test_agrees_with_update_denominators(self):
-        frame = geo.rectified_companion(left_camera(), 1.0)
+        frame = geo.rectified_companion(left_camera())
         rng = np.random.default_rng(0)
         comps = []
         for _ in range(3):
@@ -205,7 +205,7 @@ class TestJointUpdate:
 
     def test_true_geometry_particle_wins(self):
         left = left_camera()
-        left_frame = geo.rectified_companion(left, 1.0)
+        left_frame = geo.rectified_companion(left)
         wrong = cal.SensorState(
             position=(TRUE_SENSOR.position[0] + 100.0, 0.0, TRUE_SENSOR.position[2]),
             yaw=TRUE_SENSOR.yaw,
@@ -249,7 +249,7 @@ class TestJointUpdate:
 class TestResample:
     def make_population(self, weights):
         left = left_camera()
-        frame = geo.rectified_companion(left, 1.0)
+        frame = geo.rectified_companion(left)
         particles = []
         for i, w in enumerate(weights):
             s = cal.SensorState(position=(float(i), 0.0, 0.0), yaw=0.0, pitch=0.0, roll=0.0)
@@ -293,7 +293,7 @@ class TestResample:
 class TestEstimateSensor:
     def test_identical_particles(self):
         left = left_camera()
-        frame = geo.rectified_companion(left, 1.0)
+        frame = geo.rectified_companion(left)
         s = TRUE_SENSOR
         particles = [
             cal.SensorParticle(
@@ -308,7 +308,7 @@ class TestEstimateSensor:
 
     def test_symmetric_two_particle_midpoint(self):
         left = left_camera()
-        frame = geo.rectified_companion(left, 1.0)
+        frame = geo.rectified_companion(left)
         s1 = cal.SensorState(position=(30.0, 0.0, 0.0), yaw=-0.4, pitch=0.0, roll=0.0)
         s2 = cal.SensorState(position=(50.0, 0.0, 0.0), yaw=-0.6, pitch=0.0, roll=0.0)
         particles = [
@@ -334,7 +334,7 @@ class TestCalibrate:
     def test_zero_uncertainty_prior_stays_at_truth(self):
         left = left_camera()
         prior = make_prior(count=4, sigma_scale=0.0)
-        rig = cal._build_rig(left, geo.rectified_companion(left, 1.0), table_intrinsics(), TRUE_SENSOR)
+        rig = cal._build_rig(left, geo.rectified_companion(left), table_intrinsics(), TRUE_SENSOR)
         sets = synthetic_sets(rig, TARGETS, 4, seed=11, clutter_rate=5.0)
         params = calibration_params(disparity_prior=(-7.0, 8.0), clutter_rate=5.0, seed=2)
         result = cal.calibrate(left, table_intrinsics(), sets, prior, params)
@@ -344,7 +344,7 @@ class TestCalibrate:
     def test_weights_normalised_every_step(self):
         left = left_camera()
         prior = make_prior(count=16, sigma_scale=0.5)
-        rig = cal._build_rig(left, geo.rectified_companion(left, 1.0), table_intrinsics(), TRUE_SENSOR)
+        rig = cal._build_rig(left, geo.rectified_companion(left), table_intrinsics(), TRUE_SENSOR)
         sets = synthetic_sets(rig, TARGETS, 3, seed=13, clutter_rate=5.0)
         params = calibration_params(disparity_prior=(-7.0, 8.0), clutter_rate=5.0, seed=4)
         particles = cal.init_calibration(prior, left, table_intrinsics(), params.phd.seed)

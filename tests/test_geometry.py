@@ -182,7 +182,7 @@ class TestDisparityRoundTrip:
             table_intrinsics(),
             geo.CameraPose(position=(-20.0, 0.0, 0.0), yaw=np.pi / 12),
         )
-        frame = geo.rectified_companion(cam, 1.0)
+        frame = geo.rectified_companion(cam)
         pts = random_frustum_points(rng, 1000)
         back = geo.from_disparity(frame, geo.to_disparity(frame, pts))
         rel = np.linalg.norm(back - pts, axis=1) / np.linalg.norm(pts, axis=1)
@@ -238,14 +238,14 @@ class TestRectifiedCompanion:
     def test_companion_equals_rectified_pair_frame(self):
         left = identity_camera()
         _, pair_frame = geo.make_rectified_pair(left, 1.0)
-        companion = geo.rectified_companion(left, 1.0)
+        companion = geo.rectified_companion(left)
         np.testing.assert_allclose(companion.P_d, pair_frame.P_d, atol=1e-15)
         assert companion.physical_pair is False
         assert pair_frame.physical_pair is True
 
     def test_rotated_camera_companion_consistency(self):
         cam = geo.build_camera(table_intrinsics(), geo.CameraPose(yaw=np.pi / 8))
-        frame = geo.rectified_companion(cam, 1.0)
+        frame = geo.rectified_companion(cam)
         x = np.array([0.0, 0.0, 150.0])
         y = geo.to_disparity(frame, x)
         assert np.all(np.isfinite(y))
@@ -261,8 +261,8 @@ class TestRectifiedCompanion:
         right = geo.build_camera(
             table_intrinsics(), geo.CameraPose(position=(100.0, 0.0, 0.0), yaw=-np.pi / 8)
         )
-        f_l = geo.rectified_companion(left, 1.0)
-        f_r = geo.rectified_companion(right, 1.0, owner=geo.RIGHT)
+        f_l = geo.rectified_companion(left)
+        f_r = geo.rectified_companion(right, owner=geo.RIGHT)
         rng = np.random.default_rng(5)
         pts = random_frustum_points(rng, 200, z_range=(80.0, 400.0), spread=0.15)
         y_l = geo.to_disparity(f_l, pts)

@@ -6,7 +6,7 @@ from scipy.stats import multivariate_normal
 from disptrack import geometry as geo
 from disptrack import phd
 from disptrack import single_object as so
-from disptrack.rng import SALT_PARTICLE, derive_rng
+from disptrack.rng import SALT_PARTICLE, SALT_SPLIT, derive_rng
 
 
 def table_intrinsics():
@@ -47,13 +47,13 @@ class TestPhdPredict:
         rig = skewed_rig()
         frame = rig.frame_for(geo.LEFT)
         mix = mixture_of(frame, (1.0, state_at(frame, [0.0, 0.0, 150.0])))
-        pred = phd.phd_predict(mix, frame, 1.0, None, None, n_particles=20_000)
+        pred = phd.phd_predict(mix, frame, 1.0, None, n_particles=20_000)
         comp = pred.components[0]
         se = np.sqrt(np.diag(mix.components[0].state.cov) / 20_000)
         assert np.all(np.abs(comp.state.mean - mix.components[0].state.mean) < 3 * se)
         assert pred.total_weight == pytest.approx(1.0)
 
-    def test_survival_and_birth_weights(self):
+    def test_survival_scales_weights(self):
         rig = skewed_rig()
         frame = rig.frame_for(geo.LEFT)
         mix = mixture_of(
@@ -62,9 +62,8 @@ class TestPhdPredict:
             (1.0, state_at(frame, [10.0, 0.0, 200.0])),
             (1.0, state_at(frame, [-10.0, 5.0, 250.0])),
         )
-        birth = mixture_of(frame, (0.4, state_at(frame, [0.0, -5.0, 180.0])))
-        pred = phd.phd_predict(mix, frame, 0.9, None, birth, n_particles=500)
-        assert pred.total_weight == pytest.approx(2.7 + 0.4)
+        pred = phd.phd_predict(mix, frame, 0.9, None, n_particles=500)
+        assert [c.weight for c in pred.components] == pytest.approx([0.9, 0.9, 0.9])
 
     def test_single_component_equals_particle_move(self):
         # one component moved by the PHD prediction is bit-identical to the
@@ -80,7 +79,7 @@ class TestPhdPredict:
         state = state_at(f_l, [0.0, 0.0, 150.0])
         mix = mixture_of(f_l, (1.0, state))
         seed_keys = (17, 3, SALT_PARTICLE, 1)
-        pred = phd.phd_predict(mix, f_r, 1.0, None, None, n_particles=500, seed_keys=seed_keys)
+        pred = phd.phd_predict(mix, f_r, 1.0, None, n_particles=500, seed_keys=seed_keys)
         direct = so.particle_move(state, f_r, None, 500, None, derive_rng(*seed_keys, 0))
         assert np.array_equal(pred.components[0].state.mean, direct.mean)
         assert np.array_equal(pred.components[0].state.cov, direct.cov)
@@ -93,7 +92,7 @@ class TestSplitDetection:
         det = phd.DetectionModel(0.95, 800, 600)
         state = state_at(frame, [0.0, 0.0, 150.0])
         mix = mixture_of(frame, (1.0, state))
-        missed, detected = phd.split_detection(mix, det, 256, rng_seed=0)
+        missed, detected = phd.split_detection(mix, det, 256, seed_keys=(0,))
         assert missed.components[0].weight == pytest.approx(0.05)
         assert detected.components[0].weight == pytest.approx(0.95)
         assert np.array_equal(missed.components[0].state.mean, state.mean)
@@ -106,9 +105,45 @@ class TestSplitDetection:
         mean = np.array([-500.0, 300.0, -9.0])  # far outside the image
         state = so.GaussianState(mean=mean, cov=np.diag([4.0, 4.0, 1.0]), frame=frame)
         mix = mixture_of(frame, (0.7, state))
-        missed, detected = phd.split_detection(mix, det, 256, rng_seed=0)
+        missed, detected = phd.split_detection(mix, det, 256, seed_keys=(0,))
         assert missed.components[0].weight == pytest.approx(0.7)
         assert len(detected) == 0
+
+    def test_each_component_equals_split_component_on_its_stream(self):
+        # the mixture split is bit-identical to splitting component k alone
+        # with the derived stream (*seed_keys, k); the two identical
+        # straddling components therefore refit from different particles
+        rig = skewed_rig()
+        frame = rig.frame_for(geo.LEFT)
+        det = phd.DetectionModel(0.95, 800, 600)
+        straddling = so.GaussianState(
+            mean=np.array([2.0, 300.0, -9.0]), cov=np.diag([400.0, 4.0, 1.0]), frame=frame
+        )
+        outside = so.GaussianState(
+            mean=np.array([-500.0, 300.0, -9.0]), cov=np.diag([4.0, 4.0, 1.0]), frame=frame
+        )
+        mix = mixture_of(
+            frame,
+            (1.0, state_at(frame, [0.0, 0.0, 150.0])),
+            (0.7, straddling),
+            (0.7, straddling),
+            (0.3, outside),
+        )
+        seed_keys = (17, 3, SALT_SPLIT, 1)
+        missed, detected = phd.split_detection(mix, det, 256, seed_keys)
+        parts = [
+            phd.split_component(c.weight, c.state, det, 256, derive_rng(*seed_keys, k))
+            for k, c in enumerate(mix.components)
+        ]
+        for got, want in ((missed, [m for m, _ in parts]), (detected, [d for _, d in parts])):
+            want = [w for w in want if w is not None]
+            assert len(got) == len(want)
+            for a, b in zip(got.components, want):
+                assert a.weight == b.weight
+                assert np.array_equal(a.state.mean, b.state.mean)
+                assert np.array_equal(a.state.cov, b.state.cov)
+        first, second = detected.components[1:3]
+        assert not np.array_equal(first.state.mean, second.state.mean)
 
     def test_one_dimensional_analogue_of_halfplane_detection(self):
         # standard normal u-coordinate, detection probability 0.9 for u >= 0
@@ -171,7 +206,7 @@ class TestPhdUpdate:
         state = state_at(frame, [0.0, 0.0, 150.0])
         det = phd.DetectionModel(0.95, 800, 600)
         mix = mixture_of(frame, (1.0, state))
-        missed, detected = phd.split_detection(mix, det, 256, rng_seed=0)
+        missed, detected = phd.split_detection(mix, det, 256, seed_keys=(0,))
         post = phd.phd_update_with_denominators(missed, detected, [], self.make_clutter(10.0))[0]
         assert post.total_weight == pytest.approx(0.05)
 
@@ -233,7 +268,7 @@ class TestPhdUpdate:
         s = state_at(frame, [0.0, 0.0, 150.0])
         det = phd.DetectionModel(0.95, 800, 600)
         mix = mixture_of(frame, (1.0, s), (0.8, state_at(frame, [5.0, 5.0, 180.0])))
-        missed, detected = phd.split_detection(mix, det, 256, rng_seed=1)
+        missed, detected = phd.split_detection(mix, det, 256, seed_keys=(1,))
         Z = [
             so.Observation(z=(400.0, 300.0), R=2.0 * np.eye(2), camera=geo.LEFT),
             so.Observation(z=(100.0, 100.0), R=2.0 * np.eye(2), camera=geo.LEFT),
@@ -530,17 +565,13 @@ class TestPhdTrack:
         track = so.track_single(
             rig,
             flat_obs,
-            so.TrackingParams(
-                disparity_prior=(-9.0, 5.4), n_move_particles=200, fov_truncation=True, seed=11
-            ),
+            so.TrackingParams(disparity_prior=(-9.0, 5.4), n_move_particles=200, seed=11),
         )
         init = so.initialise(flat_obs[0], (-9.0, 5.4), None, rig.frame_for(geo.LEFT))
         start = phd.GaussianMixture((phd.WeightedGaussian(1.0, init),), rig.frame_for(geo.LEFT))
         mixture = start
         estimates = []
         # drive the recursion manually from the initialised component
-        from disptrack.rng import SALT_SPLIT
-
         for obs_set in sets[1:]:
             target = rig.frame_for(obs_set.camera)
             side = 0 if obs_set.camera == geo.LEFT else 1
@@ -549,7 +580,6 @@ class TestPhdTrack:
                     mixture,
                     target,
                     1.0,
-                    None,
                     None,
                     n_particles=200,
                     seed_keys=(11, obs_set.time, SALT_PARTICLE, side),

@@ -54,7 +54,7 @@ def dense_transport_oracle(state, target, model, n, seed):
     if state.mean.size == 6:
         x2 = geo.from_disparity(state.frame, samples[:, :3] + eps * samples[:, 3:])
         v = (x2 - x) / eps
-        if model is not None and model.kind == "constant-velocity":
+        if model is not None:
             x, v = world_transition(x, v, model, rng)
         y = geo.to_disparity(target, x)
         y2 = geo.to_disparity(target, x + eps * v)
@@ -221,7 +221,7 @@ class TestParticlePrediction:
         obs = so.Observation(z=(400.0, 300.0), R=2.0 * np.eye(2), camera=geo.LEFT)
         state = so.initialise(obs, (-9.0, 1.0), (0.0, 0.0), frame)
         model = so.MotionModel(q=0.0, dt=1.0)
-        pred = so.particle_prediction(state, model, 10_000, 123)
+        pred = so.particle_move(state, frame, model, 10_000, None, 123)
         se = np.sqrt(np.diag(state.cov)[:3] / 10_000)
         assert np.all(np.abs(pred.mean[:3] - state.mean[:3]) < 3 * se + 1e-6)
 
@@ -231,7 +231,7 @@ class TestParticlePrediction:
         state = fig2_prior_state(frame)
         model = so.MotionModel(q=0.08, dt=1.0)
         oracle_mean, oracle_cov = dense_transport_oracle(state, frame, model, 1_000_000, seed=99)
-        pred = so.particle_prediction(state, model, 10_000, 7)
+        pred = so.particle_move(state, frame, model, 10_000, None, 7)
         se = np.sqrt(np.diag(oracle_cov) / 10_000)
         assert np.all(np.abs(pred.mean - oracle_mean) < 3 * se)
         rel = np.linalg.norm(pred.cov - oracle_cov) / np.linalg.norm(oracle_cov)
@@ -248,16 +248,15 @@ class TestParticlePrediction:
             mean = np.concatenate([y, rng.normal(0, 0.05, size=3)])
             cov = np.diag(np.concatenate([rng.uniform(0.5, 3.0, 3), rng.uniform(0.02, 0.2, 3)]))
             state = so.GaussianState(mean=mean, cov=cov, frame=frame)
-            pred = so.particle_prediction(state, model, 20_000, 1000 + i)
+            pred = so.particle_move(state, frame, model, 20_000, None, 1000 + i)
             assert np.trace(pred.cov) >= np.trace(state.cov) * 0.98
 
     def test_static_state_rejected(self):
         rig = rectified_rig()
-        state = so.GaussianState(
-            mean=np.array([400.0, 300.0, -9.0]), cov=np.eye(3), frame=rig.frame_for(geo.LEFT)
-        )
+        frame = rig.frame_for(geo.LEFT)
+        state = so.GaussianState(mean=np.array([400.0, 300.0, -9.0]), cov=np.eye(3), frame=frame)
         with pytest.raises(ValueError):
-            so.particle_prediction(state, so.MotionModel(), 100, 0)
+            so.particle_move(state, frame, so.MotionModel(), 100, None, 0)
 
 
 class TestParticleMove:
@@ -348,7 +347,7 @@ class TestTrackSingle:
         rig = rectified_rig()
         x = np.array([3.0, -2.0, 100.0])
         obs = noiseless_stream(rig, x, 10)
-        params = so.TrackingParams(disparity_prior=(-7.0, 5.4), motion=so.MotionModel(kind="static"))
+        params = so.TrackingParams(disparity_prior=(-7.0, 5.4))
         result = so.track_single(rig, obs, params)
         assert np.linalg.norm(result.estimates[-1] - x) < 1e-6
 
@@ -356,7 +355,7 @@ class TestTrackSingle:
         rig = rectified_rig()
         x = np.array([0.0, 0.0, 120.0])
         obs = noiseless_stream(rig, x, 5)
-        params = so.TrackingParams(disparity_prior=(-7.0, 5.4), motion=so.MotionModel(kind="static"))
+        params = so.TrackingParams(disparity_prior=(-7.0, 5.4))
         result = so.track_single(rig, obs, params)
         assert result.counters["particle_predictions"] == 0
         assert result.counters["particle_moves"] == 0
@@ -366,9 +365,7 @@ class TestTrackSingle:
         rig = skewed_rig(separation=60.0, yaw=np.pi / 12)
         x = np.array([0.0, 0.0, 100.0])
         obs = noiseless_stream(rig, x, 6, R=2.0 * np.eye(2))
-        params = so.TrackingParams(
-            disparity_prior=(-9.0, 5.4), motion=so.MotionModel(kind="static"), n_move_particles=200
-        )
+        params = so.TrackingParams(disparity_prior=(-9.0, 5.4), n_move_particles=200)
         result = so.track_single(rig, obs, params)
         assert result.counters["particle_moves"] == len(obs) - 1
         assert np.linalg.norm(result.estimates[-1] - x) < 2.0
@@ -434,6 +431,14 @@ class TestInverseDepthEkf:
         assert abs(np.sqrt((ds_err**2).mean()) - np.sqrt((ekf_err**2).mean())) < 0.1 * np.sqrt(
             (ds_err**2).mean()
         )
+
+    def test_non_finite_linearisation_raises(self):
+        # a zero-disparity prior puts the ray point at infinity, so the other
+        # camera's linearised observation model is not finite
+        rig = skewed_rig(separation=80.0, yaw=np.pi / 8)
+        obs = noiseless_stream(rig, np.array([0.0, 0.0, 150.0]), 3, R=2.0 * np.eye(2))
+        with np.errstate(all="ignore"), pytest.raises(ValueError):
+            so.baseline_inverse_depth_ekf(rig, obs, (0.0, 1.0))
 
     def test_estimates_shape(self):
         rig = skewed_rig(separation=80.0, yaw=np.pi / 8)
