@@ -149,15 +149,10 @@ def run_localise(
             failures.extend(mc.failures)
             truth = sim.generate_truth(cell_cfg).positions[:, 0, :]
             truth_last = truth
-            tail = max(1, cell_cfg.score_tail)
-            ds_mean, ds_std, _ = metrics.rmse(
-                [r.estimates[-tail:] for r in mc.results], truth[-tail:]
-            )
+            ds_mean, ds_std, _ = metrics.rmse([r.estimates[-1:] for r in mc.results], truth[-1:])
             b_mean = b_std = None
             if baseline is not None:
-                b_mean, b_std, _ = metrics.rmse(
-                    [r.baseline[-tail:] for r in mc.results], truth[-tail:]
-                )
+                b_mean, b_std, _ = metrics.rmse([r.baseline[-1:] for r in mc.results], truth[-1:])
             cells.append(
                 LocaliseCell(
                     distance_cm=float(dist),

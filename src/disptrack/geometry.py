@@ -35,6 +35,8 @@ import numpy as np
 
 LEFT = "left"
 RIGHT = "right"
+# Stream index of each camera side in the derived random-number seeds.
+SIDE_INDEX = {LEFT: 0, RIGHT: 1}
 
 # Homogeneous components smaller than this are treated as singular.
 W_TOL = 1e-12

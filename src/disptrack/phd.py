@@ -25,10 +25,11 @@ from . import geometry as geo
 from . import single_object as so
 from .rng import SALT_PARTICLE, SALT_SPLIT, as_rng, derive_rng
 
-_SIDE_INDEX = {geo.LEFT: 0, geo.RIGHT: 1}
-
 # Relative widening of the merge prefilter's ball radius (see prune_merge).
 _BALL_MARGIN = 1.0 + 1e-9
+# Share of a component's split particles inside (or outside) the field of
+# view above which it only re-weights and keeps its shape (see split_component).
+_FAST_PATH_FRACTION = 0.999
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,6 @@ def split_component(
     det: DetectionModel,
     n_particles: int,
     rng_seed,
-    fast_path_fraction: float = 0.999,
 ) -> tuple[WeightedGaussian | None, WeightedGaussian | None]:
     """Split one weighted Gaussian into (missed, detected) parts.
 
@@ -128,11 +128,11 @@ def split_component(
     inside = det.inside(samples[:, :2])
     frac = inside.mean()
     p = det.p_inside
-    if frac >= fast_path_fraction:
+    if frac >= _FAST_PATH_FRACTION:
         missed = None if (1.0 - p) * weight == 0.0 else WeightedGaussian((1.0 - p) * weight, state)
         detected = None if p * weight == 0.0 else WeightedGaussian(p * weight, state)
         return missed, detected
-    if frac <= 1.0 - fast_path_fraction:
+    if frac <= 1.0 - _FAST_PATH_FRACTION:
         return WeightedGaussian(weight, state), None
 
     w_det = p * inside  # p_D(y) per particle
@@ -152,11 +152,11 @@ def split_component(
             continue
         mean = wn @ samples
         centred = samples - mean
-        cov = so.ensure_spd((centred * wn[:, None]).T @ centred / ess_denom)
+        cov_chol = so.ensure_spd((centred * wn[:, None]).T @ centred / ess_denom)
         parts.append(
             WeightedGaussian(
                 weight * total / n_particles,
-                so.GaussianState(mean=mean, cov=cov, frame=state.frame),
+                so.GaussianState.from_factor(mean, *cov_chol, state.frame),
             )
         )
     return parts[0], parts[1]
@@ -232,17 +232,6 @@ def birth_from_observations(
     return GaussianMixture(comps, frame)
 
 
-def _posterior_factor(
-    state: so.GaussianState, R: np.ndarray
-) -> tuple[so.InnovationFactor, so.GaussianState]:
-    """The observation-independent half of updating ``state`` with an
-    observation of covariance R from the frame's owning camera, plus a
-    validated posterior state whose covariance every posterior copy shares."""
-    H = geo.disparity_observation_matrix(geo.LEFT, state.dynamic)
-    factor = so.innovation_factor(state.mean, state.cov, H, R)
-    return factor, so.GaussianState(mean=state.mean, cov=factor.post_cov, frame=state.frame)
-
-
 def phd_update_with_denominators(
     missed: GaussianMixture,
     detected: GaussianMixture,
@@ -261,36 +250,40 @@ def phd_update_with_denominators(
     Each detected component is factored once per distinct observation
     covariance R (gain, posterior covariance, Cholesky factor of S); each
     observation then costs one solve per component. The posterior copies
-    of a component share its read-only posterior covariance.
+    of a component share its read-only posterior covariance and factor.
     """
     if missed.frame is not detected.frame:
         raise ValueError("missed and detected mixtures must share a frame")
+    frame = missed.frame
+    H = {dyn: geo.disparity_observation_matrix(geo.LEFT, dyn) for dyn in (False, True)}
     out = list(missed.components)
     log_denoms = np.empty(len(Z))
     log_weights = [np.log(c.weight) if c.weight > 0 else -np.inf for c in detected.components]
     factors: dict[bytes, list] = {}
     for j, z in enumerate(Z):
-        if z.camera != missed.frame.owner:
+        if z.camera != frame.owner:
             raise ValueError("observations must come from the camera owning the frame")
         key = z.R.tobytes()
         if key not in factors:
-            factors[key] = [_posterior_factor(c.state, z.R) for c in detected.components]
+            factors[key] = [
+                so.innovation_factor(c.state.mean, c.state.cov, H[c.state.dynamic], z.R)
+                for c in detected.components
+            ]
         zj = np.asarray(z.z)
         updated = []
         log_terms = [clutter.log_intensity(z.z)]
-        for comp, lw_prior, (factor, posterior) in zip(
-            detected.components, log_weights, factors[key]
-        ):
+        for comp, lw_prior, factor in zip(detected.components, log_weights, factors[key]):
             mean, loglik = so.factored_update(factor, comp.state.mean, zj)
             lw = lw_prior + loglik
-            updated.append((lw, posterior.with_mean(mean)))
+            post = so.GaussianState.from_factor(mean, factor.post_cov, factor.post_chol, frame)
+            updated.append((lw, post))
             log_terms.append(lw)
         log_denom = np.logaddexp.reduce(log_terms)
         log_denoms[j] = log_denom
         for lw, post in updated:
             w = 0.0 if not np.isfinite(lw - log_denom) else float(np.exp(lw - log_denom))
             out.append(WeightedGaussian(w, post))
-    return GaussianMixture(tuple(out), missed.frame), log_denoms
+    return GaussianMixture(tuple(out), frame), log_denoms
 
 
 def prune_merge(
@@ -366,7 +359,7 @@ def prune_merge(
         merged.append(
             WeightedGaussian(
                 float(w_total),
-                so.GaussianState(mean=mean, cov=so.ensure_spd(cov), frame=mix.frame),
+                so.GaussianState.from_factor(mean, *so.ensure_spd(cov), mix.frame),
             )
         )
     merged.sort(key=lambda c: -c.weight)
@@ -469,7 +462,7 @@ def phd_step(
     if dt_steps < 0:
         raise ValueError("observation sets must be time-ordered")
     target = rig.frame_for(obs_set.camera)
-    side = _SIDE_INDEX[obs_set.camera]
+    side = geo.SIDE_INDEX[obs_set.camera]
     dynamic = params.velocity_prior is not None
     model = so._effective_model(params.motion, dt_steps) if dynamic else None
     survival = params.p_survival if dt_steps > 0 else 1.0

@@ -111,7 +111,6 @@ class ScenarioConfig:
     calibration: CalibrationConfig | None = None
     grid_distances_cm: tuple[float, ...] | None = None
     grid_priors: tuple[tuple[float, float], ...] | None = None
-    score_tail: int = 1
 
     def __post_init__(self):
         if self.n_steps < 1:
@@ -141,7 +140,7 @@ class ScenarioConfig:
             d["left"] = CameraConfig(**_tupled(d["left"]))
             d["right"] = CameraConfig(**_tupled(d["right"]))
             d["objects"] = tuple(ObjectConfig(**_tupled(o)) for o in d["objects"])
-            if d.get("filter") is not None:
+            if "filter" in d:
                 d["filter"] = FilterConfig(**_tupled(d["filter"]))
             if d.get("calibration") is not None:
                 d["calibration"] = CalibrationConfig(**_tupled(d["calibration"]))
@@ -161,6 +160,8 @@ def _deep_tuple(v):
 
 
 def _tupled(d: dict) -> dict:
+    if not isinstance(d, dict):
+        raise TypeError(f"a config section must be a mapping, not {type(d).__name__}")
     return {k: _deep_tuple(v) if isinstance(v, (list, tuple)) else v for k, v in d.items()}
 
 
@@ -251,7 +252,7 @@ def generate_observations(
     sets = []
     for t in range(truth.positions.shape[0]):
         for side in _sides_for_step(config, t):
-            rng = derive_rng(rng_seed, t, SALT_OBSERVATIONS, 0 if side == geo.LEFT else 1)
+            rng = derive_rng(rng_seed, t, SALT_OBSERVATIONS, geo.SIDE_INDEX[side])
             cam = rig.camera(side)
             zs = []
             for j in range(truth.positions.shape[1]):

@@ -57,21 +57,28 @@ def symmetrise(P: np.ndarray) -> np.ndarray:
     return 0.5 * (P + P.T)
 
 
-def ensure_spd(P: np.ndarray, jitter: float = COV_JITTER) -> np.ndarray:
+def ensure_spd(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Symmetrise and, if needed, add a small diagonal jitter so the matrix
-    admits a Cholesky factorisation. The jitter starts at an absolute 1e-9
-    and escalates relative to the matrix scale for badly conditioned fits."""
+    admits a Cholesky factorisation. The jitter starts at ``COV_JITTER``
+    and escalates relative to the matrix scale for badly conditioned fits.
+    Returns the matrix and the lower Cholesky factor that accepted it, a
+    read-only checked pair for ``GaussianState.from_factor``; a non-finite
+    matrix raises ``ValueError`` (numpy's Cholesky lets NaN through)."""
     S = symmetrise(np.asarray(P, dtype=float))
     eye = np.eye(S.shape[0])
     scale = max(1.0, float(np.abs(np.diag(S)).max()))
-    eps = jitter
+    eps = COV_JITTER
     for _ in range(8):
         try:
-            np.linalg.cholesky(S)
-            return S
+            L = np.linalg.cholesky(S)
         except np.linalg.LinAlgError:
             S = S + eps * eye
             eps = max(eps * 100.0, 1e-12 * scale)
+            continue
+        if not np.isfinite(S).all():
+            raise ValueError("covariance must be finite")
+        S.flags.writeable = L.flags.writeable = False
+        return S, L
     raise NumericalDegeneracyError("covariance cannot be regularised")
 
 
@@ -80,13 +87,16 @@ class GaussianState:
     """Gaussian belief in a tagged disparity space.
 
     mean is (u, v, d) or (u, v, d, du, dv, dd); cov is the matching SPD
-    matrix, stored read-only so states can share it. States are values:
-    every operation returns a new instance.
+    matrix and chol its lower Cholesky factor, both stored read-only so
+    states can share them. States are values: every operation returns a new
+    instance. A state built by a caller is checked and factored once; the
+    library builds its states with ``from_factor``, which skips the re-check.
     """
 
     mean: np.ndarray
     cov: np.ndarray
     frame: geo.DisparityFrame = field(repr=False)
+    chol: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
@@ -100,34 +110,39 @@ class GaussianState:
             raise ValueError("covariance is not symmetric")
         cov = symmetrise(cov)
         try:
-            np.linalg.cholesky(cov)
+            chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
             # accept semidefinite input (e.g. a zero-variance prior block) by
             # promoting it with the standard jitter; reject indefinite input
             cov = cov + COV_JITTER * np.eye(cov.shape[0])
             try:
-                np.linalg.cholesky(cov)
+                chol = np.linalg.cholesky(cov)
             except np.linalg.LinAlgError:
                 raise ValueError("covariance is not positive semidefinite") from None
-        cov.flags.writeable = False
+        cov.flags.writeable = chol.flags.writeable = False
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "chol", chol)
 
     @property
     def dynamic(self) -> bool:
         return self.mean.size == 6
 
-    def with_mean(self, mean: np.ndarray) -> GaussianState:
-        """A state sharing this one's covariance and frame around another
-        mean. The covariance is already validated, so only the mean is
-        checked."""
+    @classmethod
+    def from_factor(
+        cls, mean: np.ndarray, cov: np.ndarray, chol: np.ndarray, frame: geo.DisparityFrame
+    ) -> GaussianState:
+        """A state around ``mean`` with a read-only covariance and factor
+        pair from ``ensure_spd`` or another state. The pair is already
+        checked, so only the mean is."""
         mean = np.asarray(mean, dtype=float)
-        if mean.shape != self.mean.shape or not np.isfinite(mean).all():
+        if mean.shape != (cov.shape[0],) or not np.isfinite(mean).all():
             raise ValueError("state mean must be finite and match the covariance")
-        state = object.__new__(GaussianState)
+        state = object.__new__(cls)
         object.__setattr__(state, "mean", mean)
-        object.__setattr__(state, "cov", self.cov)
-        object.__setattr__(state, "frame", self.frame)
+        object.__setattr__(state, "cov", cov)
+        object.__setattr__(state, "frame", frame)
+        object.__setattr__(state, "chol", chol)
         return state
 
 
@@ -139,17 +154,19 @@ class Observation:
     R: np.ndarray
     camera: str
     time: int = 0
+    chol: np.ndarray = field(init=False, repr=False, compare=False)  # lower factor of R
 
     def __post_init__(self):
         z = tuple(float(v) for v in self.z)
         R = symmetrise(np.asarray(self.R, dtype=float))
         if not (np.all(np.isfinite(z)) and np.all(np.isfinite(R))):
             raise ValueError("observation and its covariance must be finite")
-        np.linalg.cholesky(R)
+        chol = np.linalg.cholesky(R)
         if self.time < 0:
             raise ValueError("time index must be nonnegative")
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "z", z)
+        object.__setattr__(self, "chol", chol)
 
 
 @dataclass(frozen=True)
@@ -198,12 +215,14 @@ def initialise(
 @dataclass(frozen=True, eq=False)
 class InnovationFactor:
     """The observation-independent half of a Kalman update of one Gaussian
-    under one observation model (H, R)."""
+    under one observation model (H, R); every posterior state shares the
+    checked pair (post_cov, post_chol) from ``ensure_spd``."""
 
     predicted: np.ndarray  # H m
     chol: np.ndarray  # lower Cholesky factor of S = H P H^T + R
     gain: np.ndarray  # K = P H^T S^-1
     post_cov: np.ndarray  # Joseph form (I - K H) P (I - K H)^T + K R K^T, made SPD
+    post_chol: np.ndarray  # lower Cholesky factor of post_cov
     log_det: float  # log det S
 
 
@@ -219,8 +238,8 @@ def innovation_factor(
         raise NumericalDegeneracyError("innovation covariance not invertible") from None
     K = dpotrs(chol, H @ cov, lower=1)[0].T
     I_KH = np.eye(mean.size) - K @ H
-    post_cov = ensure_spd(I_KH @ cov @ I_KH.T + K @ R @ K.T)
-    return InnovationFactor(H @ mean, chol, K, post_cov, 2.0 * np.log(np.diag(chol)).sum())
+    post = ensure_spd(I_KH @ cov @ I_KH.T + K @ R @ K.T)
+    return InnovationFactor(H @ mean, chol, K, *post, 2.0 * np.log(np.diag(chol)).sum())
 
 
 def factored_update(
@@ -273,19 +292,18 @@ def kalman_update(state: GaussianState, obs: Observation) -> tuple[GaussianState
     H = geo.disparity_observation_matrix(side, state.dynamic)
     factor = innovation_factor(state.mean, state.cov, H, obs.R)
     mean, loglik = factored_update(factor, state.mean, np.asarray(obs.z))
-    return GaussianState(mean=mean, cov=factor.post_cov, frame=frame), loglik
+    return GaussianState.from_factor(mean, factor.post_cov, factor.post_chol, frame), loglik
 
 
 def _sample_gaussian(state: GaussianState, n: int, rng: np.random.Generator) -> np.ndarray:
-    L = np.linalg.cholesky(state.cov)
-    return state.mean + rng.standard_normal((n, state.mean.size)) @ L.T
+    return state.mean + rng.standard_normal((n, state.mean.size)) @ state.chol.T
 
 
-def _fit_gaussian(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _fit_gaussian(samples: np.ndarray, frame: geo.DisparityFrame) -> GaussianState:
     mean = samples.mean(axis=0)
     centred = samples - mean
     cov = centred.T @ centred / (samples.shape[0] - 1)
-    return mean, ensure_spd(cov)
+    return GaussianState.from_factor(mean, *ensure_spd(cov), frame)
 
 
 def particle_move(
@@ -346,8 +364,7 @@ def particle_move(
         if fov_camera is not None:
             raise TargetLeftFovError("fewer than two particles survive the field of view")
         raise DegeneratePredictionError("all particles mapped to singular points")
-    mean, cov = _fit_gaussian(kept)
-    return GaussianState(mean=mean, cov=cov, frame=target)
+    return _fit_gaussian(kept, target)
 
 
 @dataclass(frozen=True)
@@ -366,9 +383,6 @@ class TrackResult:
     times: np.ndarray
     loglik: float
     counters: dict
-
-
-_SIDE_INDEX = {geo.LEFT: 0, geo.RIGHT: 1}
 
 
 def _effective_model(motion: MotionModel, dt_steps: int) -> MotionModel | None:
@@ -412,7 +426,7 @@ def track_single(
             if dt_steps < 0:
                 raise ValueError("observations must be time-ordered")
             model = _effective_model(params.motion, dt_steps) if dynamic else None
-            rng = derive_rng(params.seed, obs.time, SALT_PARTICLE, _SIDE_INDEX[obs.camera], 0)
+            rng = derive_rng(params.seed, obs.time, SALT_PARTICLE, geo.SIDE_INDEX[obs.camera], 0)
             if target is state.frame:
                 if model is not None:
                     state = particle_move(state, target, model, params.n_move_particles, None, rng)
@@ -474,8 +488,7 @@ def baseline_pf(
     first = observations[0]
     frame = rig.frame_for(first.camera)
     mu_d, var_d = disparity_prior
-    L = np.linalg.cholesky(first.R)
-    uv = np.asarray(first.z) + rng.standard_normal((n_particles, 2)) @ L.T
+    uv = np.asarray(first.z) + rng.standard_normal((n_particles, 2)) @ first.chol.T
     d = mu_d + np.sqrt(var_d) * rng.standard_normal(n_particles)
     x, valid = geo.from_disparity_masked(frame, np.column_stack([uv, d]))
     logw = np.where(valid, 0.0, -np.inf)
@@ -511,10 +524,9 @@ def baseline_pf(
         cam = rig.camera(obs.camera)
         uv_pred, in_front = geo.project_masked(cam, x)
         innov = uv_pred - np.asarray(obs.z)
-        chol_R = np.linalg.cholesky(obs.R)
-        sol = scipy.linalg.cho_solve((chol_R, True), innov.T).T
+        sol = dpotrs(obs.chol, innov.T, lower=1)[0].T
         step_ll = -0.5 * np.einsum("ij,ij->i", innov, sol)
-        step_ll -= 0.5 * (2 * np.log(2 * np.pi) + 2 * np.log(np.diag(chol_R)).sum())
+        step_ll -= 0.5 * (2 * np.log(2 * np.pi) + 2 * np.log(np.diag(obs.chol)).sum())
         logw = logw + np.where(in_front, step_ll, -np.inf)
         w = normalised(logw)
         if w is None:

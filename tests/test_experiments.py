@@ -36,6 +36,11 @@ class TestPresets:
             {"filter": {"no_such_setting": 1.0}},
             {"colour": "red"},
             {"sync": "sometimes"},
+            {"left": None},
+            {"filter": 5},
+            {"filter": None},
+            {"objects": [None]},
+            {"calibration": [1]},
         ],
     )
     def test_malformed_config_raises_value_error(self, change):

@@ -456,7 +456,7 @@ def prune_merge_oracle(mix, prune_threshold, merge_distance, max_components):
         merged.append(
             phd.WeightedGaussian(
                 float(w_total),
-                so.GaussianState(mean=mean, cov=so.ensure_spd(cov), frame=mix.frame),
+                so.GaussianState(mean=mean, cov=so.ensure_spd(cov)[0], frame=mix.frame),
             )
         )
         remaining = rest

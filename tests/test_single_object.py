@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from disptrack import geometry as geo
+from disptrack import phd
 from disptrack import single_object as so
 
 
@@ -64,6 +65,105 @@ def dense_transport_oracle(state, target, model, n, seed):
     mean = out.mean(axis=0)
     centred = out - mean
     return mean, centred.T @ centred / (n - 1)
+
+
+def assert_factor_exact(state):
+    # the stored factor is bit for bit a fresh factorisation of the stored
+    # covariance, so sampling with it draws what re-factoring would
+    assert np.array_equal(state.chol, np.linalg.cholesky(state.cov))
+
+
+class TestGaussianState:
+    @pytest.mark.parametrize(
+        "cov",
+        [
+            np.diag([1.0, np.nan, 1.0]),
+            np.diag([1.0, np.inf, 1.0]),
+            np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+            np.diag([1.0, -1.0, 1.0]),
+        ],
+        ids=["nan", "inf", "asymmetric", "indefinite"],
+    )
+    def test_caller_built_state_rejects_bad_covariance(self, cov):
+        frame = rectified_rig().frame_for(geo.LEFT)
+        with pytest.raises(ValueError):
+            so.GaussianState(mean=np.array([400.0, 300.0, -9.0]), cov=cov, frame=frame)
+
+    def test_semidefinite_covariance_promoted_by_jitter(self):
+        frame = rectified_rig().frame_for(geo.LEFT)
+        cov = np.diag([4.0, 4.0, 0.0])
+        state = so.GaussianState(mean=np.array([400.0, 300.0, -9.0]), cov=cov, frame=frame)
+        assert np.array_equal(state.cov, cov + so.COV_JITTER * np.eye(3))
+        assert_factor_exact(state)
+
+    def test_cov_and_chol_read_only(self):
+        frame = rectified_rig().frame_for(geo.LEFT)
+        state = so.GaussianState(mean=np.zeros(3), cov=np.eye(3), frame=frame)
+        for a in (state.cov, state.chol):
+            with pytest.raises(ValueError):
+                a[0, 0] = 2.0
+
+    def test_from_factor_checks_the_mean(self):
+        frame = rectified_rig().frame_for(geo.LEFT)
+        cov, chol = so.ensure_spd(np.eye(3))
+        for mean in (np.array([0.0, np.nan, 0.0]), np.zeros(6)):
+            with pytest.raises(ValueError):
+                so.GaussianState.from_factor(mean, cov, chol, frame)
+
+    def test_ensure_spd_returns_the_accepting_factor(self):
+        # rank one: the factorisation succeeds only after jitter
+        cov, chol = so.ensure_spd(np.ones((3, 3)))
+        assert not np.array_equal(cov, np.ones((3, 3)))
+        assert np.array_equal(chol, np.linalg.cholesky(cov))
+        assert not (cov.flags.writeable or chol.flags.writeable)
+        with pytest.raises(ValueError):
+            so.ensure_spd(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+    def test_library_made_states_keep_an_exact_factor(self):
+        rig = skewed_rig()
+        f_l, f_r = rig.frame_for(geo.LEFT), rig.frame_for(geo.RIGHT)
+        obs = so.Observation(z=(400.0, 300.0), R=2.0 * np.eye(2), camera=geo.LEFT)
+        born = so.initialise(obs, (-9.0, 5.4), (0.0, 0.03), f_l)
+        moved = so.particle_move(born, f_r, so.MotionModel(q=0.08), 500, None, 7)
+        updated, _ = so.kalman_update(
+            born, so.Observation(z=(401.0, 299.0), R=np.eye(2), camera=geo.LEFT, time=1)
+        )
+
+        det = phd.DetectionModel(0.95, 800, 600)
+        straddling = so.GaussianState(
+            mean=np.array([2.0, 300.0, -9.0]), cov=np.diag([400.0, 4.0, 1.0]), frame=f_l
+        )
+        split = phd.split_component(1.0, straddling, det, 256, 0)
+        assert all(part.state is not straddling for part in split)  # both refit
+
+        detected = phd.GaussianMixture((phd.WeightedGaussian(1.0, straddling),), f_l)
+        Z = [
+            so.Observation(z=(5.0, 300.0), R=2.0 * np.eye(2), camera=geo.LEFT),
+            so.Observation(z=(9.0, 301.0), R=2.0 * np.eye(2), camera=geo.LEFT),
+        ]
+        posterior, _ = phd.phd_update_with_denominators(
+            phd.empty_mixture(f_l), detected, Z, phd.ClutterModel(1.0, 800, 600)
+        )
+        copies = [c.state for c in posterior.components]
+        assert copies[0].chol is copies[1].chol  # the copies share one factor
+
+        near = so.GaussianState(
+            mean=straddling.mean + [1.0, 0.0, 0.0], cov=straddling.cov, frame=f_l
+        )
+        merged = phd.prune_merge(
+            phd.GaussianMixture(
+                (phd.WeightedGaussian(0.5, straddling), phd.WeightedGaussian(0.5, near)), f_l
+            )
+        )
+        assert len(merged) == 1
+        merged_state = merged.components[0].state
+
+        for state in [born, moved, updated, *(p.state for p in split), *copies, merged_state]:
+            assert_factor_exact(state)
+
+    def test_observation_keeps_the_factor_of_r(self):
+        obs = so.Observation(z=(1.0, 2.0), R=np.array([[2.0, 0.3], [0.3, 1.0]]), camera=geo.LEFT)
+        assert np.array_equal(obs.chol, np.linalg.cholesky(obs.R))
 
 
 class TestInitialise:
@@ -136,7 +236,7 @@ class TestKalmanUpdate:
                 alpha = scipy.linalg.cho_solve((chol, True), innov)
                 K = scipy.linalg.cho_solve((chol, True), H @ cov).T
                 I_KH = np.eye(n) - K @ H
-                want_cov = so.ensure_spd(I_KH @ cov @ I_KH.T + K @ R @ K.T)
+                want_cov = so.ensure_spd(I_KH @ cov @ I_KH.T + K @ R @ K.T)[0]
                 want_ll = -0.5 * (
                     innov @ alpha + 2.0 * np.log(np.diag(chol)).sum() + 2 * np.log(2.0 * np.pi)
                 )
