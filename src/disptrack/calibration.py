@@ -1,12 +1,12 @@
 """Joint multi-object tracking and right-camera extrinsic calibration.
 
-The sensor state (right-camera position and yaw/pitch/roll relative to the
-left camera, which anchors the world frame) is represented by a weighted
-particle population. Each particle carries its own conditional Gaussian
-mixture, advanced by ``phd.phd_step`` under that particle's geometry, the
-same step the plain PHD filter runs. After every observation set the
-particles are reweighted by the closed-form multi-object likelihood that
-step returns,
+The sensor state (the right camera's pose relative to the left camera,
+which anchors the world frame) is represented by a weighted particle
+population. A particle's hypothesis is the pose of its rig's right camera,
+and it carries its own conditional Gaussian mixture, advanced by
+``phd.phd_step`` under that particle's geometry, the same step the plain
+PHD filter runs. After every observation set the particles are reweighted
+by the closed-form multi-object likelihood that step returns,
 
     L(Z|s) = exp(-lambda - W_det) * prod_z [lambda c(z) + sum_k w_k q_k(z)],
 
@@ -31,40 +31,10 @@ class NormalisationFailureError(Exception):
 
 
 @dataclass(frozen=True)
-class SensorState:
-    """Right-camera extrinsics: position (cm) and yaw/pitch/roll (rad)."""
-
-    position: tuple[float, float, float]
-    yaw: float
-    pitch: float
-    roll: float
-
-    def __post_init__(self):
-        if not (
-            np.all(np.isfinite(self.position))
-            and np.all(np.isfinite([self.yaw, self.pitch, self.roll]))
-        ):
-            raise ValueError("sensor state must be finite")
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([*self.position, self.yaw, self.pitch, self.roll])
-
-    @classmethod
-    def from_vector(cls, v) -> "SensorState":
-        v = np.asarray(v, dtype=float)
-        return cls(position=(v[0], v[1], v[2]), yaw=v[3], pitch=v[4], roll=v[5])
-
-    def to_pose(self) -> geo.CameraPose:
-        return geo.CameraPose(
-            position=tuple(self.position), yaw=self.yaw, pitch=self.pitch, roll=self.roll
-        )
-
-
-@dataclass(frozen=True)
 class CalibrationPrior:
     """Independent Gaussian prior over the six extrinsic components."""
 
-    mean: SensorState
+    mean: geo.CameraPose
     position_sigma: tuple[float, float, float]
     orientation_sigma: tuple[float, float, float]
     count: int
@@ -83,10 +53,10 @@ class CalibrationPrior:
 
 @dataclass(frozen=True, eq=False)
 class SensorParticle:
-    """One hypothesis of the right-camera extrinsics with its weight and its
-    conditional multi-object mixture (in a disparity space of its own rig)."""
+    """One hypothesis of the right-camera extrinsics, ``rig.right.pose``,
+    with its weight and its conditional multi-object mixture (in a disparity
+    space of its own rig)."""
 
-    s: SensorState
     weight: float
     mixture: phd_mod.GaussianMixture = field(repr=False)
     rig: geo.StereoRig = field(repr=False)
@@ -109,16 +79,15 @@ class CalibrationParams:
         n_split_particles=128,
     )
     resample_threshold: float = 0.5
-    jitter: float = 0.0  # fraction of the prior sigmas added on resampling
 
 
 def _build_rig(
     left: geo.ProjectiveCamera,
     left_frame: geo.DisparityFrame,
     intrinsics: geo.CameraIntrinsics,
-    s: SensorState,
+    pose: geo.CameraPose,
 ) -> geo.StereoRig:
-    right = geo.build_camera(intrinsics, s.to_pose())
+    right = geo.build_camera(intrinsics, pose)
     return geo.StereoRig.make_non_rectified(left, right, left_frame=left_frame)
 
 
@@ -136,15 +105,12 @@ def init_calibration(
     sigmas = prior.sigmas()
     particles = []
     for _ in range(prior.count):
-        v = mean + sigmas * rng.standard_normal(6)
-        s = SensorState.from_vector(v)
-        rig = _build_rig(left, left_frame, right_intrinsics, s)
+        pose = geo.CameraPose.from_vector(mean + sigmas * rng.standard_normal(6))
         particles.append(
             SensorParticle(
-                s=s,
                 weight=1.0 / prior.count,
                 mixture=phd_mod.empty_mixture(left_frame),
-                rig=rig,
+                rig=_build_rig(left, left_frame, right_intrinsics, pose),
             )
         )
     return particles
@@ -190,17 +156,12 @@ def resample(
     particles: list[SensorParticle],
     ess_threshold_fraction: float,
     rng: np.random.Generator,
-    prior: CalibrationPrior | None = None,
-    jitter: float = 0.0,
-    right_intrinsics: geo.CameraIntrinsics | None = None,
-    left: geo.ProjectiveCamera | None = None,
 ) -> list[SensorParticle]:
     """Systematic resampling when ESS drops below the threshold fraction.
 
-    Conditional mixtures are duplicated with their particles and weights
-    reset to uniform. Optional Gaussian jitter (a fraction of the prior
-    sigmas) restores diversity among duplicates of the static sensor state.
-    """
+    Conditional mixtures and rigs are duplicated with their particles and
+    weights reset to uniform. Returns the input list itself when the ESS is
+    high enough."""
     if not 0.0 < ess_threshold_fraction <= 1.0:
         raise ValueError("ESS threshold fraction must be in (0, 1]")
     M = len(particles)
@@ -208,35 +169,25 @@ def resample(
         return particles
     weights = np.array([p.weight for p in particles])
     idx = so.systematic_resample(weights, rng)
-    out = []
-    for i in idx:
-        p = particles[i]
-        if jitter > 0.0 and prior is not None:
-            v = p.s.as_vector() + jitter * prior.sigmas() * rng.standard_normal(6)
-            s = SensorState.from_vector(v)
-            left_frame = p.rig.frame_for(geo.LEFT)
-            rig = _build_rig(left, left_frame, right_intrinsics, s)
-            p = replace(p, s=s, rig=rig)
-        out.append(replace(p, weight=1.0 / M))
-    return out
+    return [replace(particles[i], weight=1.0 / M) for i in idx]
 
 
-def estimate_sensor(particles: list[SensorParticle]) -> tuple[SensorState, np.ndarray]:
+def estimate_sensor(particles: list[SensorParticle]) -> tuple[geo.CameraPose, np.ndarray]:
     """Weighted mean of the population per component, plus the weighted
     standard deviation. Angles are averaged arithmetically, which is valid
     for the sub-quadrant ranges calibration works in."""
     w = np.array([p.weight for p in particles])
-    vecs = np.array([p.s.as_vector() for p in particles])
+    vecs = np.array([p.rig.right.pose.as_vector() for p in particles])
     mean = w @ vecs
     var = w @ (vecs - mean) ** 2
-    return SensorState.from_vector(mean), np.sqrt(var)
+    return geo.CameraPose.from_vector(mean), np.sqrt(var)
 
 
 @dataclass
 class CalibrationStepRecord:
     time: int
     camera: str
-    estimate: SensorState
+    estimate: geo.CameraPose
     std: np.ndarray
     ess: float
 
@@ -246,12 +197,6 @@ class CalibrationResult:
     records: list[CalibrationStepRecord]
     particles: list[SensorParticle]
     final_targets: np.ndarray  # extracted conditional targets of the modal particle
-
-    def last_records_per_step(self) -> list[CalibrationStepRecord]:
-        by_time: dict[int, CalibrationStepRecord] = {}
-        for rec in self.records:
-            by_time[rec.time] = rec
-        return [by_time[t] for t in sorted(by_time)]
 
 
 def calibrate(
@@ -273,15 +218,7 @@ def calibrate(
     for obs_set in observation_sets:
         dt_steps = 0 if last_time is None else obs_set.time - last_time
         particles = joint_update(particles, obs_set, dt_steps, params)
-        particles = resample(
-            particles,
-            params.resample_threshold,
-            resample_rng,
-            prior=prior,
-            jitter=params.jitter,
-            right_intrinsics=right_intrinsics,
-            left=left,
-        )
+        particles = resample(particles, params.resample_threshold, resample_rng)
         est, std = estimate_sensor(particles)
         records.append(
             CalibrationStepRecord(

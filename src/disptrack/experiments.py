@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import calibration as cal
+from . import geometry as geo
 from . import metrics
 from . import phd as phd_mod
 from . import sim
@@ -77,12 +78,12 @@ def _localise_one(run_index: int, run_seed: int, cfg: sim.ScenarioConfig, baseli
     sets = sim.generate_observations(truth, cfg, run_seed)
     stream = sim.flatten_single_object(sets)
     params = so.TrackingParams(**_shared_params(cfg, run_seed))
-    result = so.track_single(cfg.rig(), stream, params)
+    result = so.track_single(cfg.rig, stream, params)
     estimates = per_step_estimates(result.estimates, result.times, cfg.n_steps)
     base = None
     if baseline == "pf":
         pf = so.baseline_pf(
-            cfg.rig(),
+            cfg.rig,
             stream,
             cfg.filter.baseline_particles,
             params.disparity_prior,
@@ -90,7 +91,7 @@ def _localise_one(run_index: int, run_seed: int, cfg: sim.ScenarioConfig, baseli
         )
         base = per_step_estimates(pf.estimates, pf.times, cfg.n_steps)
     elif baseline == "idekf":
-        ekf = so.baseline_inverse_depth_ekf(cfg.rig(), stream, params.disparity_prior)
+        ekf = so.baseline_inverse_depth_ekf(cfg.rig, stream, params.disparity_prior)
         base = per_step_estimates(ekf.estimates, ekf.times, cfg.n_steps)
     return LocaliseRun(estimates=estimates, baseline=base)
 
@@ -194,14 +195,13 @@ def _track_one(run_index: int, run_seed: int, cfg: sim.ScenarioConfig, pf_sizes:
     truth = sim.generate_truth(cfg, seed=run_seed)
     sets = sim.generate_observations(truth, cfg, run_seed)
     stream = sim.flatten_single_object(sets)
-    rig = cfg.rig()
     params = so.TrackingParams(**_shared_params(cfg, run_seed))
-    result = so.track_single(rig, stream, params)
+    result = so.track_single(cfg.rig, stream, params)
     ds = per_step_estimates(result.estimates, result.times, cfg.n_steps)
     pf_all = {}
     for n in pf_sizes:
         pf = so.baseline_pf(
-            rig,
+            cfg.rig,
             stream,
             n,
             params.disparity_prior,
@@ -275,7 +275,7 @@ def _phd_one(run_index: int, run_seed: int, cfg: sim.ScenarioConfig, ospa_cutoff
     truth = sim.generate_truth(cfg)
     sets = sim.generate_observations(truth, cfg, run_seed)
     params = _phd_params(cfg, run_seed)
-    result = phd_mod.phd_track(cfg.rig(), sets, params)
+    result = phd_mod.phd_track(cfg.rig, sets, params)
     per_step = result.last_records_per_step()
     ospa_params = metrics.OspaParams(cutoff=ospa_cutoff, order=1.0)
     ospa = np.array(
@@ -344,15 +344,9 @@ class CalibrateRun:
 
 def _calibrate_one(run_index: int, run_seed: int, cfg: sim.ScenarioConfig):
     c = cfg.calibration
-    truth_state = cal.SensorState(
-        position=tuple(cfg.right.position),
-        yaw=cfg.right.yaw,
-        pitch=cfg.right.pitch,
-        roll=cfg.right.roll,
-    )
-    prior_mean = cal.SensorState.from_vector(
-        truth_state.as_vector()
-        + np.array([*c.prior_position_offset, *c.prior_orientation_offset])
+    truth_pose = cfg.rig.right.pose
+    prior_mean = geo.CameraPose.from_vector(
+        truth_pose.as_vector() + np.array([*c.prior_position_offset, *c.prior_orientation_offset])
     )
     prior = cal.CalibrationPrior(
         mean=prior_mean,
@@ -371,11 +365,8 @@ def _calibrate_one(run_index: int, run_seed: int, cfg: sim.ScenarioConfig):
             n_split_particles=c.n_split_particles,
         ),
         resample_threshold=c.resample_threshold,
-        jitter=c.jitter,
     )
-    left = cfg.left.build()
-    right_intr = cfg.right.build().intrinsics
-    result = cal.calibrate(left, right_intr, sets, prior, params)
+    result = cal.calibrate(cfg.rig.left, cfg.rig.right.intrinsics, sets, prior, params)
     estimates = np.array([r.estimate.as_vector() for r in result.records])
     stds = np.array([r.std for r in result.records])
     times = np.array([r.time for r in result.records])
@@ -383,7 +374,7 @@ def _calibrate_one(run_index: int, run_seed: int, cfg: sim.ScenarioConfig):
         estimates=estimates,
         stds=stds,
         times=times,
-        truth=truth_state.as_vector(),
+        truth=truth_pose.as_vector(),
         final_targets=result.final_targets,
     )
 
@@ -402,7 +393,6 @@ def run_calibrate(
 ) -> CalibrateResultAggregate:
     if cfg.calibration is None:
         raise ValueError("scenario config has no calibration section")
-    c = cfg.calibration
     mc = sim.monte_carlo(
         functools.partial(_calibrate_one, cfg=cfg), n_runs, base_seed, parallel=parallel
     )

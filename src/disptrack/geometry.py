@@ -65,13 +65,14 @@ class PointAtInfinityError(GeometryError):
 @dataclass(frozen=True)
 class CameraIntrinsics:
     """Pinhole intrinsics. Focal length in mm (sign is a convention choice),
-    pixel pitches in micrometres, principal point and image size in pixels."""
+    pixel pitches in micrometres, principal point and image size in pixels.
+    The defaults are the camera every preset uses."""
 
-    focal_length_mm: float
-    pixel_size_u_um: float
-    pixel_size_v_um: float
-    principal_u: float
-    principal_v: float
+    focal_length_mm: float = -8.0
+    pixel_size_u_um: float = 8.9
+    pixel_size_v_um: float = 9.0
+    principal_u: float = 400.0
+    principal_v: float = 300.0
     width: int = 800
     height: int = 600
 
@@ -118,6 +119,14 @@ class CameraPose:
             raise ValueError("camera position must be finite")
         if not np.all(np.isfinite([self.yaw, self.pitch, self.roll])):
             raise ValueError("orientation angles must be finite")
+
+    def as_vector(self) -> np.ndarray:
+        return np.array([*self.position, self.yaw, self.pitch, self.roll])
+
+    @classmethod
+    def from_vector(cls, v) -> "CameraPose":
+        v = np.asarray(v, dtype=float)
+        return cls(position=(v[0], v[1], v[2]), yaw=v[3], pitch=v[4], roll=v[5])
 
     def rotation(self) -> np.ndarray:
         """Camera-to-world rotation matrix R = Ry(yaw) Rx(pitch) Rz(roll)."""

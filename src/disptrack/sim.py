@@ -3,7 +3,8 @@
 A scenario is a declarative description (two cameras, object trajectories,
 noise/clutter levels, filter parameters) that deterministically generates
 ground truth and noisy, cluttered, association-free observation streams from
-a seed. Observations never carry object identity.
+a seed. Observations never carry object identity. Loading a scenario builds
+its two cameras once into the ``rig`` that every run of it shares.
 """
 
 from __future__ import annotations
@@ -22,36 +23,8 @@ from .rng import SALT_OBSERVATIONS, SALT_TRUTH, derive_rng, run_seeds
 
 SYNC_MODES = ("synchronous", "alternating")
 TRUTH_MOTIONS = ("constant", "nearly-constant")
-
-
-@dataclass(frozen=True)
-class CameraConfig:
-    position: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    yaw: float = 0.0
-    pitch: float = 0.0
-    roll: float = 0.0
-    focal_length_mm: float = -8.0
-    pixel_size_u_um: float = 8.9
-    pixel_size_v_um: float = 9.0
-    principal_u: float = 400.0
-    principal_v: float = 300.0
-    width: int = 800
-    height: int = 600
-
-    def build(self) -> geo.ProjectiveCamera:
-        intr = geo.CameraIntrinsics(
-            focal_length_mm=self.focal_length_mm,
-            pixel_size_u_um=self.pixel_size_u_um,
-            pixel_size_v_um=self.pixel_size_v_um,
-            principal_u=self.principal_u,
-            principal_v=self.principal_v,
-            width=self.width,
-            height=self.height,
-        )
-        pose = geo.CameraPose(
-            position=tuple(self.position), yaw=self.yaw, pitch=self.pitch, roll=self.roll
-        )
-        return geo.build_camera(intr, pose)
+# The keys of a camera section that make its pose; the rest are intrinsics.
+POSE_KEYS = ("position", "yaw", "pitch", "roll")
 
 
 @dataclass(frozen=True)
@@ -84,7 +57,6 @@ class CalibrationConfig:
     prior_position_offset: tuple[float, float, float] = (5.0, -5.0, 5.0)
     prior_orientation_offset: tuple[float, float, float] = (np.pi / 24, np.pi / 360, np.pi / 360)
     resample_threshold: float = 0.5
-    jitter: float = 0.0
     n_move_particles: int = 64
     n_split_particles: int = 128
     prune_threshold: float = 1e-3
@@ -94,8 +66,7 @@ class CalibrationConfig:
 @dataclass(frozen=True)
 class ScenarioConfig:
     name: str
-    left: CameraConfig
-    right: CameraConfig
+    rig: geo.StereoRig
     objects: tuple[ObjectConfig, ...]
     n_steps: int = 20
     dt: float = 1.0
@@ -130,15 +101,13 @@ class ScenarioConfig:
     def obs_cov(self) -> np.ndarray:
         return np.diag([self.var_u, self.var_v])
 
-    def rig(self) -> geo.StereoRig:
-        return geo.StereoRig.make_non_rectified(self.left.build(), self.right.build())
-
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
         d = dict(data)
         try:
-            d["left"] = CameraConfig(**_tupled(d["left"]))
-            d["right"] = CameraConfig(**_tupled(d["right"]))
+            d["rig"] = geo.StereoRig.make_non_rectified(
+                _camera(d.pop("left")), _camera(d.pop("right"))
+            )
             d["objects"] = tuple(ObjectConfig(**_tupled(o)) for o in d["objects"])
             if "filter" in d:
                 d["filter"] = FilterConfig(**_tupled(d["filter"]))
@@ -163,6 +132,12 @@ def _tupled(d: dict) -> dict:
     if not isinstance(d, dict):
         raise TypeError(f"a config section must be a mapping, not {type(d).__name__}")
     return {k: _deep_tuple(v) if isinstance(v, (list, tuple)) else v for k, v in d.items()}
+
+
+def _camera(section) -> geo.ProjectiveCamera:
+    s = _tupled(section)
+    pose = geo.CameraPose(**{k: s.pop(k) for k in POSE_KEYS if k in s})
+    return geo.build_camera(geo.CameraIntrinsics(**s), pose)
 
 
 def load_config(path) -> ScenarioConfig:
@@ -191,7 +166,6 @@ def generate_truth(config: ScenarioConfig, seed: int | None = None) -> GroundTru
     Gaussian velocity perturbations (nearly-constant). An object passing
     behind a camera is flagged invisible, not an error."""
     seed = config.seed if seed is None else seed
-    rig = config.rig()
     n_obj = len(config.objects)
     positions = np.zeros((config.n_steps, n_obj, 3))
     velocities = np.zeros((config.n_steps, n_obj, 3))
@@ -210,7 +184,7 @@ def generate_truth(config: ScenarioConfig, seed: int | None = None) -> GroundTru
     projections = {}
     visible = {}
     for side in (geo.LEFT, geo.RIGHT):
-        cam = rig.camera(side)
+        cam = config.rig.camera(side)
         flat = positions.reshape(-1, 3)
         uv, in_front = geo.project_masked(cam, flat)
         inside = (
@@ -247,13 +221,12 @@ def generate_observations(
     is appended; the combined set is shuffled so nothing leaks identity;
     noisy points falling outside the image are dropped.
     """
-    rig = config.rig()
     R = config.obs_cov
     sets = []
     for t in range(truth.positions.shape[0]):
         for side in _sides_for_step(config, t):
             rng = derive_rng(rng_seed, t, SALT_OBSERVATIONS, geo.SIDE_INDEX[side])
-            cam = rig.camera(side)
+            cam = config.rig.camera(side)
             zs = []
             for j in range(truth.positions.shape[1]):
                 if not truth.visible[side][t, j]:

@@ -378,7 +378,6 @@ class TrackingParams:
 
 @dataclass
 class TrackResult:
-    states: list[GaussianState]
     estimates: np.ndarray  # one (x, y, z) row per processed observation
     times: np.ndarray
     loglik: float
@@ -411,7 +410,6 @@ def track_single(
         raise ValueError("empty observation stream")
     dynamic = params.velocity_prior is not None
     counters = {"particle_predictions": 0, "particle_moves": 0, "kalman_updates": 0}
-    states: list[GaussianState] = []
     estimates = []
     times = []
     total_loglik = 0.0
@@ -439,12 +437,10 @@ def track_single(
             state, loglik = kalman_update(state, obs)
             counters["kalman_updates"] += 1
             total_loglik += loglik
-        states.append(state)
         estimates.append(geo.from_disparity(state.frame, state.mean[:3]))
         times.append(obs.time)
         last_time = obs.time
     return TrackResult(
-        states=states,
         estimates=np.array(estimates),
         times=np.array(times),
         loglik=total_loglik,

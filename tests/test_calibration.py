@@ -18,7 +18,7 @@ def left_camera():
     return geo.build_camera(table_intrinsics(), geo.CameraPose())
 
 
-TRUE_SENSOR = cal.SensorState(position=(38.64, 0.0, 10.35), yaw=-np.pi / 6, pitch=0.0, roll=0.0)
+TRUE_SENSOR = geo.CameraPose(position=(38.64, 0.0, 10.35), yaw=-np.pi / 6, pitch=0.0, roll=0.0)
 
 
 def make_prior(count=50, sigma_scale=1.0):
@@ -35,7 +35,7 @@ class TestInitCalibration:
         prior = make_prior(count=1500)
         particles = cal.init_calibration(prior, left_camera(), table_intrinsics(), 0)
         assert len(particles) == 1500
-        vecs = np.array([p.s.as_vector() for p in particles])
+        vecs = np.array([p.rig.right.pose.as_vector() for p in particles])
         std = vecs.std(axis=0)
         np.testing.assert_allclose(std, prior.sigmas(), rtol=0.1)
 
@@ -43,7 +43,9 @@ class TestInitCalibration:
         prior = make_prior(count=20, sigma_scale=0.0)
         particles = cal.init_calibration(prior, left_camera(), table_intrinsics(), 1)
         for p in particles:
-            np.testing.assert_allclose(p.s.as_vector(), TRUE_SENSOR.as_vector(), atol=1e-12)
+            np.testing.assert_allclose(
+                p.rig.right.pose.as_vector(), TRUE_SENSOR.as_vector(), atol=1e-12
+            )
 
     def test_weights_sum_to_one(self):
         particles = cal.init_calibration(make_prior(count=64), left_camera(), table_intrinsics(), 2)
@@ -52,9 +54,9 @@ class TestInitCalibration:
     def test_geometry_cache_matches_state(self):
         particles = cal.init_calibration(make_prior(count=3), left_camera(), table_intrinsics(), 3)
         for p in particles:
-            np.testing.assert_allclose(
-                p.rig.camera(geo.RIGHT).pose.position, p.s.position, atol=1e-12
-            )
+            # the cached projection is the one the hypothesis pose gives
+            expected = geo.build_camera(table_intrinsics(), p.rig.right.pose)
+            np.testing.assert_array_equal(p.rig.camera(geo.RIGHT).P, expected.P)
             # all particles share the left camera frame object
             assert p.rig.frame_for(geo.LEFT) is particles[0].rig.frame_for(geo.LEFT)
 
@@ -206,7 +208,7 @@ class TestJointUpdate:
     def test_true_geometry_particle_wins(self):
         left = left_camera()
         left_frame = geo.rectified_companion(left)
-        wrong = cal.SensorState(
+        wrong = geo.CameraPose(
             position=(TRUE_SENSOR.position[0] + 100.0, 0.0, TRUE_SENSOR.position[2]),
             yaw=TRUE_SENSOR.yaw,
             pitch=0.0,
@@ -214,7 +216,6 @@ class TestJointUpdate:
         )
         particles = [
             cal.SensorParticle(
-                s=s,
                 weight=0.5,
                 mixture=phd.empty_mixture(left_frame),
                 rig=cal._build_rig(left, left_frame, table_intrinsics(), s),
@@ -252,10 +253,9 @@ class TestResample:
         frame = geo.rectified_companion(left)
         particles = []
         for i, w in enumerate(weights):
-            s = cal.SensorState(position=(float(i), 0.0, 0.0), yaw=0.0, pitch=0.0, roll=0.0)
+            s = geo.CameraPose(position=(float(i), 0.0, 0.0), yaw=0.0, pitch=0.0, roll=0.0)
             particles.append(
                 cal.SensorParticle(
-                    s=s,
                     weight=w,
                     mixture=phd.empty_mixture(frame),
                     rig=cal._build_rig(left, frame, table_intrinsics(), s),
@@ -271,7 +271,7 @@ class TestResample:
     def test_degenerate_population_collapses_to_winner(self):
         particles = self.make_population([1.0, 0.0, 0.0, 0.0])
         out = cal.resample(particles, 0.5, derive_rng(1))
-        assert all(p.s == particles[0].s for p in out)
+        assert all(p.rig.right.pose == particles[0].rig.right.pose for p in out)
         assert all(p.weight == pytest.approx(0.25) for p in out)
 
     def test_post_resample_ess_is_full(self):
@@ -297,7 +297,7 @@ class TestEstimateSensor:
         s = TRUE_SENSOR
         particles = [
             cal.SensorParticle(
-                s=s, weight=0.5, mixture=phd.empty_mixture(frame),
+                weight=0.5, mixture=phd.empty_mixture(frame),
                 rig=cal._build_rig(left, frame, table_intrinsics(), s),
             )
             for _ in range(2)
@@ -309,11 +309,11 @@ class TestEstimateSensor:
     def test_symmetric_two_particle_midpoint(self):
         left = left_camera()
         frame = geo.rectified_companion(left)
-        s1 = cal.SensorState(position=(30.0, 0.0, 0.0), yaw=-0.4, pitch=0.0, roll=0.0)
-        s2 = cal.SensorState(position=(50.0, 0.0, 0.0), yaw=-0.6, pitch=0.0, roll=0.0)
+        s1 = geo.CameraPose(position=(30.0, 0.0, 0.0), yaw=-0.4, pitch=0.0, roll=0.0)
+        s2 = geo.CameraPose(position=(50.0, 0.0, 0.0), yaw=-0.6, pitch=0.0, roll=0.0)
         particles = [
             cal.SensorParticle(
-                s=s, weight=0.5, mixture=phd.empty_mixture(frame),
+                weight=0.5, mixture=phd.empty_mixture(frame),
                 rig=cal._build_rig(left, frame, table_intrinsics(), s),
             )
             for s in (s1, s2)

@@ -28,7 +28,7 @@ class TestPresets:
         ]
         for name, cfg in PRESETS.items():
             assert cfg.name == name
-            cfg.rig()
+            cfg.rig
 
     @pytest.mark.parametrize(
         "change",
@@ -41,6 +41,9 @@ class TestPresets:
             {"filter": None},
             {"objects": [None]},
             {"calibration": [1]},
+            {"left": {"focal_length_mm": 0.0}},
+            {"right": {"width": 0}},
+            {"right": {"yaw": float("nan")}},
         ],
     )
     def test_malformed_config_raises_value_error(self, change):
@@ -117,3 +120,30 @@ def test_calibrate():
     assert result.final_errors.shape == (n_ok, 6)
     assert result.slopes.shape == (n_ok,)
     assert all_finite(result.error_series_mean, result.final_errors, result.slopes)
+
+
+def test_pooled_runs_equal_serial_runs(monkeypatch):
+    # each pool task pickles the scenario config, built rig included, and
+    # every run draws from streams derived from its own seed
+    monkeypatch.setenv("DF_THREADS", "2")
+    base = PRESETS["six-targets"]
+    loc_cfg = replace(PRESETS["skewed-pair"], n_steps=6)
+    phd_cfg = replace(base, n_steps=2)
+    cal_cfg = replace(base, n_steps=1, calibration=replace(base.calibration, particles=3))
+
+    def per_run_outputs(parallel):
+        loc = ex.run_localise(loc_cfg, 4, 5, baseline="pf", parallel=parallel)
+        phd = ex.run_phd(phd_cfg, 2, 5, burn_in=1, parallel=parallel)
+        cal = ex.run_calibrate(cal_cfg, 2, 5, parallel=parallel)
+        arrays = [a for r in loc.runs for a in (r.estimates, r.baseline)]
+        for r in phd.runs:
+            arrays += [r.ospa, r.cardinality, *(rec.targets_world for rec in r.records)]
+        arrays += [a for r in cal.runs for a in (r.estimates, r.stds, r.final_targets)]
+        return (loc.failures, phd.failures, cal.failures), arrays
+
+    pooled_failures, pooled = per_run_outputs(parallel=True)
+    serial_failures, serial = per_run_outputs(parallel=False)
+    assert pooled_failures == serial_failures
+    assert len(pooled) == len(serial) > 0
+    for a, b in zip(pooled, serial):
+        np.testing.assert_array_equal(a, b)

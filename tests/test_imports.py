@@ -1,5 +1,6 @@
 """Static checks of the package source: every module-level import is used in
-its module, and covariances are factored only where they are checked."""
+its module, covariances are factored only where they are checked, and
+cameras are built only where a scenario or a sensor hypothesis is made."""
 
 import ast
 from pathlib import Path
@@ -35,8 +36,8 @@ CHOLESKY_OWNERS = {
 }
 
 
-def cholesky_callers(path):
-    """Qualified names of the functions in ``path`` that call a ``cholesky``."""
+def callers(path, name):
+    """Qualified names of the functions in ``path`` that call a ``name``."""
     found = set()
 
     def visit(node, scope):
@@ -44,7 +45,7 @@ def cholesky_callers(path):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, (*scope, child.name))
                 continue
-            if isinstance(child, ast.Call) and ast.unparse(child.func).endswith("cholesky"):
+            if isinstance(child, ast.Call) and ast.unparse(child.func).endswith(name):
                 found.add(".".join(scope))
             visit(child, scope)
 
@@ -53,5 +54,16 @@ def cholesky_callers(path):
 
 
 def test_cholesky_only_where_a_covariance_is_checked():
-    callers = set().union(*(cholesky_callers(p) for p in MODULES))
-    assert callers <= CHOLESKY_OWNERS, f"re-factoring in {sorted(callers - CHOLESKY_OWNERS)}"
+    found = set().union(*(callers(p, "cholesky") for p in MODULES))
+    assert found <= CHOLESKY_OWNERS, f"re-factoring in {sorted(found - CHOLESKY_OWNERS)}"
+
+
+# A scenario's cameras are built once, when its config is loaded, into the
+# rig its runs share; a sensor particle builds its right camera once, from
+# its pose hypothesis.
+CAMERA_BUILDERS = {"sim._camera", "calibration._build_rig"}
+
+
+def test_cameras_built_only_at_load_and_per_sensor_hypothesis():
+    found = set().union(*(callers(p, "build_camera") for p in MODULES))
+    assert found <= CAMERA_BUILDERS, f"camera rebuilt in {sorted(found - CAMERA_BUILDERS)}"

@@ -69,7 +69,7 @@ def test_tracer_sees_every_phd_stage_from_tracking_and_calibration():
     tracing = load_tracing()
     left = geo.build_camera(geo.CameraIntrinsics(-8.0, 8.9, 9.0, 400.0, 300.0), geo.CameraPose())
     prior = cal.CalibrationPrior(
-        mean=cal.SensorState(position=(38.64, 0.0, 10.35), yaw=-np.pi / 6, pitch=0.0, roll=0.0),
+        mean=geo.CameraPose(position=(38.64, 0.0, 10.35), yaw=-np.pi / 6, pitch=0.0, roll=0.0),
         position_sigma=(0.0, 0.0, 0.0),
         orientation_sigma=(0.0, 0.0, 0.0),
         count=2,
