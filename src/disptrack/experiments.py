@@ -310,6 +310,8 @@ def run_phd(
     burn_in: int = 10,
     parallel: bool = True,
 ) -> PhdResultAggregate:
+    if not 0 <= burn_in < cfg.n_steps:
+        raise ValueError(f"burn_in must be in [0, n_steps = {cfg.n_steps}), got {burn_in}")
     mc = sim.monte_carlo(
         functools.partial(_phd_one, cfg=cfg, ospa_cutoff=ospa_cutoff),
         n_runs,

@@ -237,6 +237,7 @@ def phd_update_with_denominators(
     detected: GaussianMixture,
     Z: list[so.Observation],
     clutter: ClutterModel,
+    prune_threshold: float = 0.0,
 ) -> tuple[GaussianMixture, np.ndarray]:
     """PHD measurement update, also returning per-observation log
     denominators log(lambda c(z) + sum_k w_k q_k(z)).
@@ -251,6 +252,11 @@ def phd_update_with_denominators(
     covariance R (gain, posterior covariance, Cholesky factor of S); each
     observation then costs one solve per component. The posterior copies
     of a component share its read-only posterior covariance and factor.
+
+    Only the copies whose weight reaches ``prune_threshold`` (the same
+    ``>=`` test ``prune_merge`` prunes with) are built, in their order, so
+    pruning the result gives the same mixture as pruning the full update.
+    The denominators always sum over every copy; the default builds all.
     """
     if missed.frame is not detected.frame:
         raise ValueError("missed and detected mixtures must share a frame")
@@ -275,14 +281,15 @@ def phd_update_with_denominators(
         for comp, lw_prior, factor in zip(detected.components, log_weights, factors[key]):
             mean, loglik = so.factored_update(factor, comp.state.mean, zj)
             lw = lw_prior + loglik
-            post = so.GaussianState.from_factor(mean, factor.post_cov, factor.post_chol, frame)
-            updated.append((lw, post))
+            updated.append((lw, mean, factor))
             log_terms.append(lw)
         log_denom = np.logaddexp.reduce(log_terms)
         log_denoms[j] = log_denom
-        for lw, post in updated:
+        for lw, mean, factor in updated:
             w = 0.0 if not np.isfinite(lw - log_denom) else float(np.exp(lw - log_denom))
-            out.append(WeightedGaussian(w, post))
+            if w >= prune_threshold:
+                post = so.GaussianState.from_factor(mean, factor.post_cov, factor.post_chol, frame)
+                out.append(WeightedGaussian(w, post))
     return GaussianMixture(tuple(out), frame), log_denoms
 
 
@@ -305,15 +312,22 @@ def prune_merge(
     Only the means inside a ball around the group head j are tested. Since
     d^T P_j^-1 d >= |d|^2 / lambda_max(P_j), a candidate farther than
     sqrt(merge_distance * lambda_max(P_j)) fails the head's own test, so
-    leaving it out changes nothing. The ball is widened by a relative 1e-9
-    against the rounding of lambda_max and of the distances, queried on a
-    k-d tree of the means, and its hits are tested in the same weight order
-    as a scan of all components: the groups, their order and the merged
+    leaving it out changes nothing. The same bound holds for the candidate
+    i: a hit farther than its own radius sqrt(merge_distance *
+    lambda_max(P_i)) fails its own test, so it is dropped before any solve.
+    This matters for diffuse components, whose balls hold almost every
+    mean. Both radii are widened by a relative 1e-9 against the rounding of
+    lambda_max and of the distances. The components are indexed by
+    descending weight and the heads' balls are queried on a k-d tree of the
+    means, so the surviving hits, sorted by index, are tested in the order
+    of a scan of all components: the groups, their order and the merged
     moments are exactly those of the all-pairs scan.
     """
     if prune_threshold <= 0 or merge_distance <= 0:
         raise ValueError("thresholds must be positive")
-    comps = [c for c in mix.components if c.weight >= prune_threshold]
+    comps = sorted(
+        (c for c in mix.components if c.weight >= prune_threshold), key=lambda c: -c.weight
+    )
     if not comps:
         return GaussianMixture((), mix.frame)
     chols = []
@@ -324,21 +338,22 @@ def prune_merge(
         chols.append(chol if info == 0 else None)
     means = np.array([c.state.mean for c in comps])
     lambda_max = np.linalg.eigvalsh(np.array([c.state.cov for c in comps]))[:, -1]
-    radii = np.sqrt(merge_distance * lambda_max * _BALL_MARGIN)
+    radii_sq = merge_distance * lambda_max * _BALL_MARGIN
+    radii = np.sqrt(radii_sq)
     tree = scipy.spatial.cKDTree(means)
-    order = sorted(range(len(comps)), key=lambda i: -comps[i].weight)
-    rank = [0] * len(comps)
-    for r, i in enumerate(order):
-        rank[i] = r
-    assigned = [False] * len(comps)
+    assigned = np.zeros(len(comps), dtype=bool)
     merged: list[WeightedGaussian] = []
-    for j in order:
+    for j in range(len(comps)):
         if assigned[j]:
             continue
         group = [j]
-        if chols[j] is not None:
-            for i in sorted(tree.query_ball_point(means[j], radii[j]), key=rank.__getitem__):
-                if assigned[i] or i == j or chols[i] is None:
+        hits = tree.query_ball_point(means[j], radii[j], return_sorted=True)
+        # a ball holding only the head has nothing to test
+        if chols[j] is not None and len(hits) > 1:
+            hits = np.array(hits, dtype=np.intp)
+            dist_sq = ((means[hits] - means[j]) ** 2).sum(axis=1)
+            for i in hits[(dist_sq <= radii_sq[hits]) & ~assigned[hits]]:
+                if i == j or chols[i] is None:
                     continue
                 diff = comps[i].state.mean - comps[j].state.mean
                 if (
@@ -346,8 +361,7 @@ def prune_merge(
                     and diff @ dpotrs(chols[j], diff, lower=1)[0] <= merge_distance
                 ):
                     group.append(i)
-        for i in group:
-            assigned[i] = True
+        assigned[group] = True
         w = np.array([comps[i].weight for i in group])
         w_total = w.sum()
         mean = (w @ means[group]) / w_total
@@ -493,7 +507,9 @@ def phd_step(
         seed_keys=(params.seed, obs_set.time, SALT_SPLIT, side),
     )
     Z = list(obs_set.observations)
-    mixture, log_denoms = phd_update_with_denominators(missed, detected, Z, clutter)
+    mixture, log_denoms = phd_update_with_denominators(
+        missed, detected, Z, clutter, params.prune_threshold
+    )
     log_lc = float(-clutter.rate - detected.total_weight + log_denoms.sum())
     birth = birth_from_observations(
         Z, params.disparity_prior, params.velocity_prior, params.birth_weight, target

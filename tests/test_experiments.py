@@ -109,6 +109,17 @@ def test_phd():
     assert 0.0 <= result.cardinality_accuracy_after_burn_in <= 1.0
 
 
+@pytest.mark.parametrize("burn_in", [-1, 2, 10])
+def test_phd_burn_in_out_of_range_raises_before_any_run(burn_in, monkeypatch):
+    def no_runs(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(sim, "monte_carlo", no_runs)
+    cfg = replace(PRESETS["six-targets"], n_steps=2)
+    with pytest.raises(ValueError, match="burn_in"):
+        ex.run_phd(cfg, 1, 5, burn_in=burn_in, parallel=False)
+
+
 def test_calibrate():
     base = PRESETS["six-targets"]
     cfg = replace(base, n_steps=1, calibration=replace(base.calibration, particles=3))

@@ -1,10 +1,14 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.stats import multivariate_normal
 
+from disptrack import experiments as ex
 from disptrack import geometry as geo
-from disptrack import phd
+from disptrack import phd, sim
 from disptrack import single_object as so
 from disptrack.rng import SALT_PARTICLE, SALT_SPLIT, derive_rng
 
@@ -185,6 +189,36 @@ class TestSplitDetection:
             assert total == pytest.approx(0.8, abs=1e-12)
 
 
+def assert_same_components(got, want):
+    """Two sequences of weighted Gaussians agree bit for bit."""
+    got, want = list(got), list(want)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.weight == b.weight
+        assert np.array_equal(a.state.mean, b.state.mean)
+        assert np.array_equal(a.state.cov, b.state.cov)
+
+
+def last_update_input(monkeypatch):
+    """The arguments of the last PHD update of a three-step six-targets run
+    (by then its mixture holds tight and diffuse components), with the run's
+    filter parameters."""
+    preset = sim.load_config(Path(sim.__file__).parent / "presets" / "six-targets.json")
+    cfg = replace(preset, n_steps=3)
+    sets = sim.generate_observations(sim.generate_truth(cfg), cfg, 7)
+    params = ex._phd_params(cfg, 7)
+    calls = []
+    update = phd.phd_update_with_denominators
+
+    def capture(missed, detected, Z, clutter, prune_threshold=0.0):
+        calls.append((missed, detected, Z, clutter))
+        return update(missed, detected, Z, clutter, prune_threshold)
+
+    monkeypatch.setattr(phd, "phd_update_with_denominators", capture)
+    phd.phd_track(cfg.rig, sets, params)
+    return (*calls[-1], params)
+
+
 class TestPhdUpdate:
     def make_clutter(self, rate):
         return phd.ClutterModel(rate, 800, 600)
@@ -333,6 +367,26 @@ class TestPhdUpdate:
             assert not c.state.cov.flags.writeable
             so.GaussianState(c.state.mean, c.state.cov, frame)  # re-validates
         assert any(c.weight == 0.0 for c in post.components[1:])
+
+    def test_prune_threshold_builds_only_surviving_copies(self, monkeypatch):
+        missed, detected, Z, clutter, params = last_update_input(monkeypatch)
+        lambda_max = np.linalg.eigvalsh(np.array([c.state.cov for c in detected.components]))[:, -1]
+        # tight and diffuse components, as on the phd-clutter workload
+        assert lambda_max.min() < 10.0 and lambda_max.max() > 1e10
+        t = params.prune_threshold
+        full, full_denoms = phd.phd_update_with_denominators(missed, detected, Z, clutter)
+        pruned, denoms = phd.phd_update_with_denominators(missed, detected, Z, clutter, t)
+        assert np.array_equal(denoms, full_denoms)
+        # the missed part passes through whole; prune_merge prunes it
+        copies = full.components[len(missed) :]
+        kept = [*missed.components, *(c for c in copies if c.weight >= t)]
+        assert len(missed) < len(pruned) < len(full)
+        assert_same_components(pruned.components, kept)
+        full_merged, merged = (
+            phd.prune_merge(m, t, params.merge_distance, params.max_components)
+            for m in (full, pruned)
+        )
+        assert_same_components(merged.components, full_merged.components)
 
     def test_non_finite_observation_rejected(self):
         with pytest.raises(ValueError):
@@ -490,26 +544,64 @@ def random_mixture(frame, rng, n, K):
     return phd.GaussianMixture(tuple(comps), frame)
 
 
+def diffuse_mixture(frame, rng, K):
+    """Clusters of tight components and of diffuse ones stretched along a
+    shared axis (lambda_max 1e10-1e15, as on the phd-clutter workload): the
+    diffuse balls hold every mean, most of them outside the candidates' own
+    balls, and diffuse components along one axis still merge."""
+    comps = []
+    for c in range(K // 10):
+        centre = rng.uniform(-50.0, 50.0, 3)
+        Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        for k in range(10):
+            if k % 2:  # diffuse along the cluster's first axis
+                eig = np.r_[10.0 ** rng.uniform(10.0, 15.0), rng.uniform(0.5, 10.0, 2)]
+                offset = Q[:, 0] * rng.normal(scale=np.sqrt(eig[0])) + rng.normal(scale=0.3, size=3)
+            else:
+                eig = rng.uniform(0.05, 1.0, 3)
+                offset = rng.normal(scale=rng.choice([0.3, 3.0]), size=3)
+            state = so.GaussianState(mean=centre + offset, cov=(Q * eig) @ Q.T, frame=frame)
+            weight = 0.5 if k == 4 else float(rng.uniform(1e-7, 1.0))
+            comps.append(phd.WeightedGaussian(weight, state))
+    return phd.GaussianMixture(tuple(comps), frame)
+
+
 class TestPruneMergeOracle:
+    def assert_matches_oracle(self, mix):
+        for merge_distance, max_components in ((7.0, 200), (50.0, 200), (7.0, 10)):
+            got = phd.prune_merge(mix, 1e-6, merge_distance, max_components)
+            want = prune_merge_oracle(mix, 1e-6, merge_distance, max_components)
+            assert_same_components(got.components, want)
+
     @pytest.mark.parametrize("n", [3, 6])
     @pytest.mark.parametrize("K", [0, 1, 2, 17, 90])
     def test_matches_all_pairs_scan_bit_for_bit(self, n, K):
         frame = skewed_rig().frame_for(geo.LEFT)
         rng = np.random.default_rng(1000 * n + K)
         mix = random_mixture(frame, rng, n, K)
-        for merge_distance, max_components in ((7.0, 200), (50.0, 200), (7.0, 10)):
-            got = phd.prune_merge(mix, 1e-6, merge_distance, max_components)
-            want = prune_merge_oracle(mix, 1e-6, merge_distance, max_components)
-            assert len(got) == len(want)
-            for a, b in zip(got.components, want):
-                assert a.weight == b.weight
-                assert np.array_equal(a.state.mean, b.state.mean)
-                assert np.array_equal(a.state.cov, b.state.cov)
+        self.assert_matches_oracle(mix)
         if K == 90:
             # the inputs exercise merging, singular spreads and the cap
             assert len(phd.prune_merge(mix, 1e-6, 7.0, 200)) < K
             assert any(c.state.cov[1, 1] == 0.0 for c in mix.components)
             assert len(phd.prune_merge(mix, 1e-6, 7.0, 10)) == 10
+
+    def test_diffuse_spreads_match_all_pairs_scan_bit_for_bit(self):
+        frame = skewed_rig().frame_for(geo.LEFT)
+        mix = diffuse_mixture(frame, np.random.default_rng(29), 120)
+        self.assert_matches_oracle(mix)
+        means = np.array([c.state.mean for c in mix.components])
+        lambda_max = np.linalg.eigvalsh(np.array([c.state.cov for c in mix.components]))[:, -1]
+        assert lambda_max.max() > 1e14
+        # most pairs in a head's ball lie outside the candidate's own ball
+        dist_sq = ((means[:, None] - means[None]) ** 2).sum(axis=-1)
+        in_head_ball = dist_sq <= 7.0 * lambda_max[:, None]
+        in_own_ball = dist_sq <= 7.0 * lambda_max[None, :]
+        assert (in_head_ball & ~in_own_ball).sum() > (in_head_ball & in_own_ball).sum()
+        # the inputs merge, and diffuse components survive the merge
+        merged = phd.prune_merge(mix, 1e-6, 7.0, 200)
+        assert len(merged) < len(mix)
+        assert max(np.linalg.eigvalsh(c.state.cov)[-1] for c in merged.components) > 1e10
 
 
 class TestExtractTargets:
